@@ -55,6 +55,7 @@ from .families import (
 from .laws import LawEntry, LawReport, check_all, upper_bound
 from .solver import (
     SolveResult,
+    WitnessCheckError,
     brute_force_oracle,
     enumerate_max_partitions,
     exists_partition_into_k,

@@ -100,7 +100,7 @@ def order_value_family(p: int, m: int) -> FamilyInstance:
     parts = [empty_digraph(m) for _ in range(q - 1)] + [empty_digraph(m + r)]
     spec = CompositionSpec.of(host, parts)
     digraph, _ = composition(spec)
-    partition = _layered_partition(spec)
+    partition = composition_partition(spec)
     # The r = 0, m >= 2 case coincides with the critical composition
     # family; otherwise no criticality claim is made.
     claimed_critical = True if (r == 0 and m >= 2) else None
@@ -126,11 +126,7 @@ def critical_composition_family(p: int, n: int) -> FamilyInstance:
     t = p // n
     spec = CompositionSpec.of(directed_cycle(t), [empty_digraph(n) for _ in range(t)])
     digraph, _ = composition(spec)
-    return FamilyInstance(digraph, _layered_partition(spec), n, True)
-
-
-def _layered_partition(spec: CompositionSpec) -> VertexPartition:
-    return composition_partition(spec)
+    return FamilyInstance(digraph, composition_partition(spec), n, True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
 feasible), so the solver searches k = 1, 2, ... and stops at the first
 infeasible size.  The search itself assigns items in fixed order with
-block-opening symmetry breaking; see ``_search``.
+block-opening symmetry breaking, and checks block strongness while it
+searches, cutting a subtree as soon as some block can no longer become
+strong; see ``_search``.  Every returned witness is checked against the
+public predicates, and a failed check raises ``WitnessCheckError``.
 
 ``brute_force_oracle`` is the trust anchor: it enumerates every set
 partition outright and filters with the public predicates, sharing no
@@ -16,13 +19,12 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
-from ._search import SearchCounter, first_partition, partition_search
+from ._search import SearchCounter, first_partition, neighbor_masks, partition_search
 from .core import (
     Digraph,
     NotStrongError,
     arc_induced_subdigraph,
     converse,
-    induced_subdigraph,
     is_semicomplete,
     is_strong,
     min_in_degree,
@@ -46,6 +48,8 @@ from .domination import (
 class SolveStats:
     nodes: int
     seconds: float
+    # Subtrees cut because a block could no longer become strong.
+    strong_prunes: int = 0
 
 
 @dataclass(frozen=True)
@@ -61,17 +65,27 @@ _NO_PARTITION_MSG = (
 )
 
 
+class WitnessCheckError(RuntimeError):
+    """A solver witness failed the public predicate it must satisfy: the
+    search itself is wrong."""
+
+
+def _check_witness(holds: bool, what: str) -> None:
+    if not holds:
+        raise WitnessCheckError(f"solver witness is not a valid {what}")
+
+
 def _require_strong(D: Digraph) -> None:
     if not is_strong(D):
         raise NotStrongError(_NO_PARTITION_MSG)
 
 
-def _strong_block_check(D: Digraph):
-    def block_ok(block) -> bool:
-        sub, _ = induced_subdigraph(D, block)
-        return is_strong(sub)
+def _strong_masks(D: Digraph) -> tuple:
+    return neighbor_masks(out_adjacency(D)), neighbor_masks(in_adjacency(D))
 
-    return block_ok
+
+def _stats(counter: SearchCounter, start: float) -> SolveStats:
+    return SolveStats(counter.nodes, time.perf_counter() - start, counter.strong_prunes)
 
 
 def search_cap(D: Digraph) -> int:
@@ -107,7 +121,7 @@ def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
     if k == 1:
         return VertexPartition.from_blocks([range(n)])
     cover = out_adjacency(D)
-    found = first_partition(n, cover, k, _strong_block_check(D), SearchCounter())
+    found = first_partition(n, cover, k, _strong_masks(D), SearchCounter())
     if found is None:
         return None
     return VertexPartition.from_blocks(found)
@@ -122,20 +136,20 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
     counter = SearchCounter()
     n = D.vertex_count
     cover = out_adjacency(D)
-    block_ok = _strong_block_check(D)
+    masks = _strong_masks(D)
     witness = VertexPartition.from_blocks([range(n)])
     cap = search_cap(D)
     k = 2
     while k <= cap:
-        found = first_partition(n, cover, k, block_ok, counter)
+        found = first_partition(n, cover, k, masks, counter)
         if found is None:
             break
         witness = VertexPartition.from_blocks(found)
         k += 1
-    result = SolveResult(
-        witness.block_count, witness, SolveStats(counter.nodes, time.perf_counter() - start)
+    result = SolveResult(witness.block_count, witness, _stats(counter, start))
+    _check_witness(
+        is_strong_in_domatic_partition(D, result.witness), "strong in-domatic partition"
     )
-    assert is_strong_in_domatic_partition(D, result.witness)
     return result
 
 
@@ -144,7 +158,9 @@ def strong_out_domatic_number(D: Digraph) -> SolveResult:
     strong out-domatic partition of D itself."""
     _require_strong(D)
     res = strong_in_domatic_number(converse(D))
-    assert is_strong_out_domatic_partition(D, res.witness)
+    _check_witness(
+        is_strong_out_domatic_partition(D, res.witness), "strong out-domatic partition"
+    )
     return res
 
 
@@ -166,10 +182,8 @@ def in_domatic_number(D: Digraph) -> SolveResult:
             break
         witness = VertexPartition.from_blocks(found)
         k += 1
-    result = SolveResult(
-        witness.block_count, witness, SolveStats(counter.nodes, time.perf_counter() - start)
-    )
-    assert is_in_domatic_partition(D, result.witness)
+    result = SolveResult(witness.block_count, witness, _stats(counter, start))
+    _check_witness(is_in_domatic_partition(D, result.witness), "in-domatic partition")
     return result
 
 
@@ -181,10 +195,9 @@ def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
     if value == 1:
         return [VertexPartition.from_blocks([range(n)])]
     cover = out_adjacency(D)
-    block_ok = _strong_block_check(D)
     return [
         VertexPartition.from_blocks(parts)
-        for parts in partition_search(n, cover, value, block_ok, SearchCounter())
+        for parts in partition_search(n, cover, value, _strong_masks(D), SearchCounter())
     ]
 
 
@@ -279,10 +292,10 @@ def lambda_number(D: Digraph) -> SolveResult:
             break
         witness = ArcPartition.from_blocks(found)
         k += 1
-    result = SolveResult(
-        witness.block_count, witness, SolveStats(counter.nodes, time.perf_counter() - start)
+    result = SolveResult(witness.block_count, witness, _stats(counter, start))
+    _check_witness(
+        is_strong_cover_partition(D, result.witness), "partition into strong covers"
     )
-    assert is_strong_cover_partition(D, result.witness)
     return result
 
 

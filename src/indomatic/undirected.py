@@ -10,7 +10,7 @@ from typing import Iterable, Tuple, Union
 
 import networkx as nx
 
-from ._search import SearchCounter, first_partition
+from ._search import first_partition, neighbor_masks
 from .core import Digraph
 
 
@@ -163,9 +163,8 @@ def connected_domatic_number(G: UGraph):
         raise ValueError("connected domatic partitions need a connected graph")
     adj = adjacency(G)
     cover = [sorted(adj[v]) for v in range(n)]
-
-    def block_ok(block) -> bool:
-        return _connected_on(adj, block)
+    # Connectivity is strongness of the symmetric neighbor relation.
+    masks = neighbor_masks(adj)
 
     cap = min(len(a) for a in adj) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
@@ -173,7 +172,7 @@ def connected_domatic_number(G: UGraph):
     best = (frozenset(range(n)),)
     k = 2
     while k <= cap:
-        found = first_partition(n, cover, k, block_ok, SearchCounter())
+        found = first_partition(n, cover, k, (masks, masks))
         if found is None:
             break
         best = found

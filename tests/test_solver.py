@@ -1,8 +1,13 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 
+from indomatic import solver
 from indomatic import (
     NotStrongError,
+    VertexPartition,
+    WitnessCheckError,
     all_labeled_digraphs,
     brute_force_oracle,
     complete_digraph,
@@ -22,6 +27,17 @@ from indomatic import (
 )
 
 from .conftest import strong_digraphs
+
+
+def strong_in_domatic_partitions_by_size(D):
+    """Every strong in-domatic partition of D, grouped by block count, in
+    the order of the pruning-free set-partition enumeration."""
+    by_size = defaultdict(list)
+    for blocks in solver._all_set_partitions(list(range(D.vertex_count))):
+        P = VertexPartition.from_blocks(blocks)
+        if is_strong_in_domatic_partition(D, P):
+            by_size[len(blocks)].append(P)
+    return by_size
 
 
 class TestExistsPartitionIntoK:
@@ -169,6 +185,51 @@ class TestEnumerateMaxPartitions:
             key = frozenset(P.blocks())
             assert key not in seen
             seen.add(key)
+
+
+    def check_against_unpruned(self, D):
+        by_size = strong_in_domatic_partitions_by_size(D)
+        assert enumerate_max_partitions(D) == by_size[max(by_size)]
+        for k in range(1, D.vertex_count + 1):
+            found = exists_partition_into_k(D, k)
+            if by_size[k]:
+                assert found == by_size[k][0]
+            else:
+                assert found is None
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pruning_drops_nothing_exhaustively(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                self.check_against_unpruned(D)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=6))
+    def test_pruning_drops_nothing(self, D):
+        self.check_against_unpruned(D)
+
+
+class TestWitnessChecks:
+    @pytest.mark.parametrize(
+        "predicate, solve",
+        [
+            ("is_strong_in_domatic_partition", strong_in_domatic_number),
+            ("is_strong_out_domatic_partition", strong_out_domatic_number),
+            ("is_in_domatic_partition", in_domatic_number),
+            ("is_strong_cover_partition", lambda_number),
+        ],
+    )
+    def test_failed_predicate_raises(self, monkeypatch, k3, predicate, solve):
+        monkeypatch.setattr(solver, predicate, lambda D, P: False)
+        with pytest.raises(WitnessCheckError):
+            solve(k3)
+
+
+class TestSolveStats:
+    def test_strong_prunes_counted(self):
+        D = pair_critical_family(4).digraph
+        assert strong_in_domatic_number(D).stats.strong_prunes > 0
+        assert in_domatic_number(D).stats.strong_prunes == 0
 
 
 class TestBruteForceOracle:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from indomatic import (
     underlying_graph,
     vertex_connectivity,
 )
+from indomatic.solver import _all_set_partitions
 from indomatic.undirected import is_connected
 
 from .conftest import complete_graph, cycle_graph, path_graph
@@ -124,6 +127,34 @@ class TestConnectedDomatic:
             assert is_connected_subset(G, block)
         if len(G.edges) < G.vertex_count * (G.vertex_count - 1) // 2:
             assert value <= vertex_connectivity(G)
+
+
+    @staticmethod
+    def check_against_unpruned(G):
+        best = None
+        for blocks in _all_set_partitions(list(range(G.vertex_count))):
+            if (best is None or len(blocks) > len(best)) and all(
+                is_connected_subset(G, b) and is_dominating_set(G, b) for b in blocks
+            ):
+                best = blocks
+        value, witness = connected_domatic_number(G)
+        assert value == len(best) == len(witness)
+        for block in witness:
+            assert is_connected_subset(G, block) and is_dominating_set(G, block)
+        assert witness == tuple(frozenset(b) for b in best)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_unpruned_exhaustively(self, n):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            G = make_ugraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if is_connected(G):
+                self.check_against_unpruned(G)
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_graphs(min_n=6, max_n=7))
+    def test_matches_unpruned(self, G):
+        self.check_against_unpruned(G)
 
 
 class TestCliqueDomination:
