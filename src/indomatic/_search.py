@@ -1,30 +1,34 @@
 """Backtracking search for partitions into covering blocks.
 
-One engine serves both the directed solver (blocks must be in-dominating:
-every vertex outside a block has an out-neighbor inside it) and the
-undirected connected-domatic computation (every vertex outside a block has
-a neighbor inside it).  Both are instances of the same constraint: for
-every item x and every block j other than x's own, some member of
-``cover[x]`` must land in block j.
+``partition_search`` partitions vertices.  It serves the directed solver
+(every vertex outside a block has an out-neighbor inside it) and the
+undirected connected-domatic computation (a neighbor inside it): for every
+item x and every block j other than x's own, some member of ``cover[x]``
+must land in block j.  ``arc_partition_search`` partitions arcs into
+strong covers, which need an out-arc and an in-arc at every vertex.
 
-Vertices are assigned in increasing id order and block j may be opened
-only once blocks 0..j-1 are open, so every set partition is visited
-exactly once, with blocks already ordered by minimum member.  That makes
-the first witness canonical and enumeration duplicate-free.
+Items go in fixed order and block j opens only once blocks 0..j-1 are
+open, so every set partition is visited once, blocks ordered by first
+member: the first witness is canonical and enumeration duplicate-free.
 
-Blocks may also be required to induce strong subdigraphs (connected
-subgraphs, for a symmetric relation).  That is checked during the search,
-not on complete partitions: after each vertex is placed, every open block
-B with two or more members must lie in one strong component of
-D[B + unassigned], tested by a forward and a backward bitmask closure from
-min(B).  A strong final block containing B lies inside that subdigraph, so
-a cut subtree holds no valid partition, and the search still visits the
-valid leaves in the same order.  Once every vertex is placed the rule says
-exactly that every block is strong.
+Strongness is checked during the search, not on complete partitions.
+After each vertex is placed, every open block B with two or more members
+must lie in one strong component of D[B + unassigned] (a forward and a
+backward bitmask closure from min(B)).  After each arc is placed, every
+open block, and one empty block standing for all unopened ones, must
+reach every vertex from vertex 0 and be reached from each, along its own
+arcs plus the unassigned arcs it may still take: arc (u, v) is barred
+from a block where u has an out-arc already and each remaining out-arc of
+u is needed by a distinct block lacking one (likewise v's in-arcs).  A
+valid final block lies inside the set a closure runs over, so a cut
+subtree holds no valid partition and valid leaves keep their order; once
+every item is placed the rules say exactly that every block is strong.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from functools import reduce
+from operator import or_
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 
 class SearchCounter:
@@ -170,14 +174,103 @@ def partition_search(
     yield from assign(0, 0)
 
 
-def first_partition(
+def largest_partition(search: Callable[[int], Iterator[tuple]], cap: int, whole: tuple):
+    """First partition yielded by ``search(k)`` for the largest k <= cap that
+    yields one, or ``whole`` when no k >= 2 does.  Feasible k must form a
+    prefix, so k = 2, 3, ... are tried only up to the first that fails."""
+    best, k = whole, 2
+    while k <= cap:
+        found = next(search(k), None)
+        if found is None:
+            break
+        best, k = found, k + 1
+    return best
+
+
+def arc_partition_search(
     n: int,
-    cover: Sequence[Sequence[int]],
+    arcs: Sequence[Tuple[int, int]],
     k: int,
-    strong_masks: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     counter: Optional[SearchCounter] = None,
-):
-    """First (canonical) admissible partition, or None."""
-    for parts in partition_search(n, cover, k, strong_masks, counter):
-        return parts
-    return None
+) -> Iterator[tuple]:
+    """Yield every partition of ``arcs``, the arcs of a digraph on
+    ``range(n)`` with n >= 2, into exactly ``k`` strong covers, as tuples
+    of arc lists in the order of ``arcs``, blocks ordered by first arc."""
+    m = len(arcs)
+    if not (1 <= k <= m):
+        return
+    if counter is None:
+        counter = SearchCounter()
+    blocks = [[] for _ in range(k)]
+    # outs[j][u] / ins[j][v]: heads of block j's arcs leaving u / tails of
+    # its arcs entering v.
+    outs = [[0] * n for _ in range(k)]
+    ins = [[0] * n for _ in range(k)]
+    # free_out[u] / free_in[v]: heads / tails of unassigned arcs at u / v.
+    free_out = [sum(1 << v for u, v in arcs if u == x) for x in range(n)]
+    free_in = [sum(1 << u for u, v in arcs if v == x) for x in range(n)]
+    # spare_out[v] / spare_in[v]: unassigned arcs leaving / entering v
+    # beyond one for each block (unopened ones included) that lacks one.
+    spare_out = [mask.bit_count() - k for mask in free_out]
+    spare_in = [mask.bit_count() - k for mask in free_in]
+    full = (1 << n) - 1
+
+    def cannot_be_strong(opened: int) -> bool:
+        # An unassigned arc may go to block j only if its tail has room for
+        # another out-arc there (none yet, or spare ones) and its head for
+        # another in-arc.
+        slack_out = sum(1 << x for x in range(n) if spare_out[x] > 0)
+        slack_in = sum(1 << x for x in range(n) if spare_in[x] > 0)
+        for j in range(min(opened + 1, k)):
+            room_out = slack_out | ~reduce(or_, ins[j])
+            room_in = slack_in | ~reduce(or_, outs[j])
+            for own, free, room_from, room_to in (
+                (outs[j], free_out, room_out, room_in),
+                (ins[j], free_in, room_in, room_out),
+            ):
+                masks = [
+                    own[x] | (free[x] & room_to if room_from >> x & 1 else 0)
+                    for x in range(n)
+                ]
+                if not _reaches(1, masks, full, full):
+                    return True
+        return False
+
+    def assign(i: int, opened: int) -> Iterator[tuple]:
+        counter.nodes += 1
+        if i == m:
+            if opened == k:
+                yield tuple(list(block) for block in blocks)
+            return
+        if k - opened > m - i:
+            return
+        u, v = arcs[i]
+        ubit, vbit = 1 << u, 1 << v
+        free_out[u] ^= vbit
+        free_in[v] ^= ubit
+        spare_out[u] -= 1
+        spare_in[v] -= 1
+        for b in range(min(opened + 1, k)):
+            blocks[b].append(arcs[i])
+            new_tail, new_head = not outs[b][u], not ins[b][v]
+            outs[b][u] |= vbit
+            ins[b][v] |= ubit
+            spare_out[u] += new_tail
+            spare_in[v] += new_head
+            if spare_out[u] >= 0 and spare_in[v] >= 0:
+                now_opened = max(opened, b + 1)
+                if cannot_be_strong(now_opened):
+                    counter.strong_prunes += 1
+                else:
+                    yield from assign(i + 1, now_opened)
+            outs[b][u] ^= vbit
+            ins[b][v] ^= ubit
+            spare_out[u] -= new_tail
+            spare_in[v] -= new_head
+            blocks[b].pop()
+        free_out[u] |= vbit
+        free_in[v] |= ubit
+        spare_out[u] += 1
+        spare_in[v] += 1
+
+    yield from assign(0, 0)

@@ -20,6 +20,7 @@ from .critical import (
     deletion_profile,
 )
 from .domination import (
+    VertexPartition,
     check_strong_in_domatic_partition,
     check_strong_out_domatic_partition,
 )
@@ -213,14 +214,10 @@ def cmd_generate(args) -> int:
     try:
         if family == "complete":
             D = families.complete_digraph(params["n"])
-            from .domination import VertexPartition
-
             partition = VertexPartition.from_blocks([[v] for v in range(params["n"])])
             claimed_value = params["n"]
         elif family == "cycle":
             D = families.directed_cycle(params["n"])
-            from .domination import VertexPartition
-
             if params["n"] == 2:
                 partition = VertexPartition.from_blocks([[0], [1]])
                 claimed_value = 2

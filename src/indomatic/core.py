@@ -141,9 +141,7 @@ def induced_subdigraph(D: Digraph, S) -> tuple:
         _check_vertex(D, v)
     index = {old: new for new, old in enumerate(members)}
     arcs = [(index[u], index[v]) for u, v in D.arcs if u in index and v in index]
-    labels = None
-    if D.labels is not None:
-        labels = tuple(D.labels[old] for old in members)
+    labels = None if D.labels is None else tuple(D.labels[old] for old in members)
     return make_digraph(len(members), arcs, labels), tuple(members)
 
 
@@ -163,9 +161,7 @@ def arc_induced_subdigraph(D: Digraph, E) -> tuple:
     members = sorted({u for u, _ in arcs} | {v for _, v in arcs})
     index = {old: new for new, old in enumerate(members)}
     new_arcs = [(index[u], index[v]) for u, v in arcs]
-    labels = None
-    if D.labels is not None:
-        labels = tuple(D.labels[old] for old in members)
+    labels = None if D.labels is None else tuple(D.labels[old] for old in members)
     return make_digraph(len(members), new_arcs, labels), tuple(members)
 
 

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
+    arc_induced_subdigraph,
     converse,
     induced_subdigraph,
     is_strong,
@@ -219,8 +220,6 @@ def is_strong_cover(D: Digraph, E) -> bool:
     touched = {u for u, _ in E} | {v for _, v in E}
     if len(touched) != D.vertex_count:
         return False
-    from .core import arc_induced_subdigraph
-
     sub, _ = arc_induced_subdigraph(D, E)
     return is_strong(sub)
 

@@ -47,6 +47,7 @@ from .undirected import (
     adjacency,
     clique_domination_number,
     connected_domatic_number,
+    is_connected,
     is_planar,
     underlying_graph,
     vertex_connectivity,
@@ -171,8 +172,6 @@ def _is_symmetric_path(D: Digraph, block) -> bool:
     adj = adjacency(UG)
     if any(len(a) > 2 for a in adj):
         return False
-    from .undirected import is_connected
-
     return is_connected(UG)
 
 
@@ -422,8 +421,8 @@ def check_all(
         entry("L13", NOT_APPLICABLE, reason=f"{m} arcs above cap {line_cap}")
     else:
         L, _ = line_digraph(D)
-        lv = strong_in_domatic_number(L).value
         derived_solves["line"] = strong_in_domatic_number(L)
+        lv = derived_solves["line"].value
         cv = lambda_number(D).value
         entry("L13", HOLDS if lv == cv else VIOLATED, line_value=lv, cover_value=cv)
 

@@ -3,11 +3,11 @@
 All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
 feasible), so the solver searches k = 1, 2, ... and stops at the first
-infeasible size.  The search itself assigns items in fixed order with
-block-opening symmetry breaking, and checks block strongness while it
-searches, cutting a subtree as soon as some block can no longer become
-strong; see ``_search``.  Every returned witness is checked against the
-public predicates, and a failed check raises ``WitnessCheckError``.
+infeasible size.  The search assigns items in fixed order with
+block-opening symmetry breaking and cuts a subtree as soon as some block
+can no longer become strong (for arc blocks: a strong cover); see
+``_search``.  Every returned witness is checked against the public
+predicates, and a failed check raises ``WitnessCheckError``.
 
 ``brute_force_oracle`` is the trust anchor: it enumerates every set
 partition outright and filters with the public predicates, sharing no
@@ -19,11 +19,11 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
-from ._search import SearchCounter, first_partition, neighbor_masks, partition_search
+from ._search import SearchCounter, arc_partition_search, largest_partition
+from ._search import neighbor_masks, partition_search
 from .core import (
     Digraph,
     NotStrongError,
-    arc_induced_subdigraph,
     converse,
     is_semicomplete,
     is_strong,
@@ -118,10 +118,7 @@ def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
     n = D.vertex_count
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1,{n}]")
-    if k == 1:
-        return VertexPartition.from_blocks([range(n)])
-    cover = out_adjacency(D)
-    found = first_partition(n, cover, k, _strong_masks(D), SearchCounter())
+    found = next(partition_search(n, out_adjacency(D), k, _strong_masks(D)), None)
     if found is None:
         return None
     return VertexPartition.from_blocks(found)
@@ -137,15 +134,10 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
     n = D.vertex_count
     cover = out_adjacency(D)
     masks = _strong_masks(D)
-    witness = VertexPartition.from_blocks([range(n)])
-    cap = search_cap(D)
-    k = 2
-    while k <= cap:
-        found = first_partition(n, cover, k, masks, counter)
-        if found is None:
-            break
-        witness = VertexPartition.from_blocks(found)
-        k += 1
+    found = largest_partition(
+        lambda k: partition_search(n, cover, k, masks, counter), search_cap(D), (range(n),)
+    )
+    witness = VertexPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
     _check_witness(
         is_strong_in_domatic_partition(D, result.witness), "strong in-domatic partition"
@@ -173,15 +165,12 @@ def in_domatic_number(D: Digraph) -> SolveResult:
     start = time.perf_counter()
     counter = SearchCounter()
     cover = out_adjacency(D)
-    witness = VertexPartition.from_blocks([range(n)])
-    cap = min_out_degree(D) + 1
-    k = 2
-    while k <= cap:
-        found = first_partition(n, cover, k, None, counter)
-        if found is None:
-            break
-        witness = VertexPartition.from_blocks(found)
-        k += 1
+    found = largest_partition(
+        lambda k: partition_search(n, cover, k, None, counter),
+        min_out_degree(D) + 1,
+        (range(n),),
+    )
+    witness = VertexPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
     _check_witness(is_in_domatic_partition(D, result.witness), "in-domatic partition")
     return result
@@ -191,107 +180,30 @@ def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
     """All strong in-domatic partitions with the maximum block count, each
     reported once with blocks ordered by minimum member."""
     value = strong_in_domatic_number(D).value
-    n = D.vertex_count
-    if value == 1:
-        return [VertexPartition.from_blocks([range(n)])]
-    cover = out_adjacency(D)
-    return [
-        VertexPartition.from_blocks(parts)
-        for parts in partition_search(n, cover, value, _strong_masks(D), SearchCounter())
-    ]
+    searched = partition_search(D.vertex_count, out_adjacency(D), value, _strong_masks(D))
+    return [VertexPartition.from_blocks(parts) for parts in searched]
 
 
 # ---------------------------------------------------------------------------
 # Arc partitions into strong covers
 
 
-def _arc_partition_search(D: Digraph, k: int, counter: SearchCounter) -> Iterator[tuple]:
-    """Yield partitions of A(D) into exactly k blocks that are all strong
-    covers.  Every block of a valid partition must give each vertex at
-    least one outgoing and one incoming arc (a spanning strong subdigraph
-    has minimum in- and out-degree one), which drives the pruning; the
-    strongness of each block is checked on completion."""
-    arcs = D.sorted_arcs()
-    m = len(arcs)
-    n = D.vertex_count
-    if not (1 <= k <= m):
-        return
-    block_of = [-1] * m
-    # tails[v][j] / heads[v][j]: arcs of block j leaving / entering v.
-    tails = [[0] * k for _ in range(n)]
-    heads = [[0] * k for _ in range(n)]
-    tail_zero = [k] * n
-    head_zero = [k] * n
-    pending_out = [len(out_adjacency(D)[v]) for v in range(n)]
-    pending_in = [len(in_adjacency(D)[v]) for v in range(n)]
-
-    def violated(v: int) -> bool:
-        return tail_zero[v] > pending_out[v] or head_zero[v] > pending_in[v]
-
-    def assign(i: int, opened: int) -> Iterator[tuple]:
-        counter.nodes += 1
-        if i == m:
-            if opened != k:
-                return
-            blocks = [[] for _ in range(k)]
-            for idx, b in enumerate(block_of):
-                blocks[b].append(arcs[idx])
-            for block in blocks:
-                sub, mapping = arc_induced_subdigraph(D, block)
-                if len(mapping) != n or not is_strong(sub):
-                    return
-            yield tuple(blocks)
-            return
-        if k - opened > m - i:
-            return
-        u, v = arcs[i]
-        top = min(opened + 1, k)
-        for b in range(top):
-            block_of[i] = b
-            pending_out[u] -= 1
-            pending_in[v] -= 1
-            tails[u][b] += 1
-            if tails[u][b] == 1:
-                tail_zero[u] -= 1
-            heads[v][b] += 1
-            if heads[v][b] == 1:
-                head_zero[v] -= 1
-            if not violated(u) and not violated(v):
-                yield from assign(i + 1, max(opened, b + 1))
-            tails[u][b] -= 1
-            if tails[u][b] == 0:
-                tail_zero[u] += 1
-            heads[v][b] -= 1
-            if heads[v][b] == 0:
-                head_zero[v] += 1
-            pending_out[u] += 1
-            pending_in[v] += 1
-            block_of[i] = -1
-
-    yield from assign(0, 0)
-
-
 def lambda_number(D: Digraph) -> SolveResult:
     """Maximum number of blocks in a partition of the arcs into strong
     covers.  Unions of strong covers are strong covers, so feasible sizes
-    again form a prefix."""
+    again form a prefix.  Every block spans every vertex with an out-arc
+    and an in-arc, so the cap is the smaller minimum degree."""
     if D.vertex_count < 2 or not D.arcs:
         raise ValueError("arc covers need a digraph with at least one arc")
     _require_strong(D)
     start = time.perf_counter()
     counter = SearchCounter()
     cap = min(min_out_degree(D), min_in_degree(D))
-    witness = ArcPartition.from_blocks([D.sorted_arcs()])
-    k = 2
-    while k <= cap:
-        found = None
-        for parts in _arc_partition_search(D, k, counter):
-            found = parts
-            break
-        if found is None:
-            break
-        witness = ArcPartition.from_blocks(found)
-        k += 1
+    arcs = D.sorted_arcs()
+    found = largest_partition(
+        lambda k: arc_partition_search(D.vertex_count, arcs, k, counter), cap, (arcs,)
+    )
+    witness = ArcPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
     _check_witness(
         is_strong_cover_partition(D, result.witness), "partition into strong covers"
@@ -343,7 +255,6 @@ def brute_force_oracle(D: Digraph, which: str) -> int:
             raise ValueError(
                 f"oracle handles 1 to {ORACLE_VERTEX_CAP} vertices, got {D.vertex_count}"
             )
-        subject = D
         if which == "dsminus":
             _require_strong(D)
             predicate = is_strong_in_domatic_partition
@@ -357,7 +268,7 @@ def brute_force_oracle(D: Digraph, which: str) -> int:
             if len(blocks) <= best:
                 continue
             P = VertexPartition.from_blocks(blocks)
-            if predicate(subject, P):
+            if predicate(D, P):
                 best = len(blocks)
         if best == 0:
             raise NotStrongError(_NO_PARTITION_MSG)

@@ -10,7 +10,7 @@ from typing import Iterable, Tuple, Union
 
 import networkx as nx
 
-from ._search import first_partition, neighbor_masks
+from ._search import largest_partition, neighbor_masks, partition_search
 from .core import Digraph
 
 
@@ -169,14 +169,9 @@ def connected_domatic_number(G: UGraph):
     cap = min(len(a) for a in adj) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
         cap = min(cap, vertex_connectivity(G))
-    best = (frozenset(range(n)),)
-    k = 2
-    while k <= cap:
-        found = first_partition(n, cover, k, (masks, masks))
-        if found is None:
-            break
-        best = found
-        k += 1
+    best = largest_partition(
+        lambda k: partition_search(n, cover, k, (masks, masks)), cap, (frozenset(range(n)),)
+    )
     return len(best), best
 
 

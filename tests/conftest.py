@@ -28,16 +28,21 @@ def digraphs(draw, min_n=1, max_n=5):
 
 
 @st.composite
-def strong_digraphs(draw, min_n=1, max_n=5):
+def strong_digraphs(draw, min_n=1, max_n=5, max_arcs=None):
     """Strong digraphs: a spanning cycle through a drawn permutation plus
-    arbitrary extra arcs."""
+    arbitrary extra arcs, at most ``max_arcs`` arcs in all when given."""
     n = draw(st.integers(min_n, max_n))
     if n == 1:
         return make_digraph(1, [])
     perm = draw(st.permutations(range(n)))
     base = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
     spare = [p for p in all_pairs(n) if p not in base]
-    extra = draw(st.lists(st.sampled_from(spare), unique=True)) if spare else []
+    max_extra = None if max_arcs is None else max(max_arcs - n, 0)
+    extra = (
+        draw(st.lists(st.sampled_from(spare), unique=True, max_size=max_extra))
+        if spare
+        else []
+    )
     return make_digraph(n, sorted(base | set(extra)))
 
 

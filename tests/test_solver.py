@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from indomatic import solver
+from indomatic._search import arc_partition_search
 from indomatic import (
+    ArcPartition,
     NotStrongError,
     VertexPartition,
     WitnessCheckError,
@@ -37,6 +39,25 @@ def strong_in_domatic_partitions_by_size(D):
         P = VertexPartition.from_blocks(blocks)
         if is_strong_in_domatic_partition(D, P):
             by_size[len(blocks)].append(P)
+    return by_size
+
+
+def strong_cover_partitions_by_size(D):
+    """Every partition of A(D) into strong covers, grouped by block count,
+    in the order of the pruning-free set-partition enumeration.  A strong
+    cover has an out-arc and an in-arc at every vertex, so partitions with
+    a block lacking one are skipped before the predicate."""
+    by_size = defaultdict(list)
+    arcs = D.sorted_arcs()
+    vertices = set(range(D.vertex_count))
+    for blocks in solver._all_set_partitions(arcs):
+        if len(blocks) * len(vertices) > len(arcs) or any(
+            {u for u, _ in b} != vertices or {v for _, v in b} != vertices for b in blocks
+        ):
+            continue
+        Q = ArcPartition.from_blocks(blocks)
+        if is_strong_cover_partition(D, Q):
+            by_size[len(blocks)].append(Q)
     return by_size
 
 
@@ -134,6 +155,45 @@ class TestLambdaNumber:
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             lambda_number(make_digraph(1, []))
+
+    @pytest.mark.parametrize("n, value", [(3, 2), (4, 2), (5, 4), (6, 4)])
+    def test_complete(self, n, value):
+        # K4* and K6* are the complete digraphs without a Hamiltonian
+        # decomposition, so they stop one short of n - 1.
+        D = complete_digraph(n)
+        result = lambda_number(D)
+        assert result.value == value
+        assert is_strong_cover_partition(D, result.witness)
+        if n >= 5:
+            assert result.stats.strong_prunes > 0
+        if n == 6:
+            # Proving that K6* has no Hamiltonian decomposition takes about
+            # 211k nodes when strongness is only checked at the leaves.
+            assert result.stats.nodes < 50_000
+
+    def check_against_unpruned(self, D):
+        by_size = strong_cover_partitions_by_size(D)
+        arcs = D.sorted_arcs()
+        for k in range(1, len(arcs) + 1):
+            found = next(arc_partition_search(D.vertex_count, arcs, k), None)
+            if k in by_size:
+                assert ArcPartition.from_blocks(found) == by_size[k][0]
+            else:
+                assert found is None
+        result = lambda_number(D)
+        assert result.value == max(by_size)
+        assert result.witness == by_size[result.value][0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pruning_drops_nothing_exhaustively(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D) and len(D.arcs) <= 8:
+                self.check_against_unpruned(D)
+
+    @settings(max_examples=25, deadline=None)
+    @given(strong_digraphs(min_n=2, max_n=6, max_arcs=9))
+    def test_pruning_drops_nothing(self, D):
+        self.check_against_unpruned(D)
 
 
 class TestInDomaticNumber:
