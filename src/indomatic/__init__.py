@@ -13,6 +13,7 @@ from .core import (
     is_complete,
     is_semicomplete,
     is_strong,
+    is_strong_subset,
     is_symmetric_arc,
     make_digraph,
     min_in_degree,

@@ -6,6 +6,8 @@ undirected connected-domatic computation (a neighbor inside it): for every
 item x and every block j other than x's own, some member of ``cover[x]``
 must land in block j.  ``arc_partition_search`` partitions arcs into
 strong covers, which need an out-arc and an in-arc at every vertex.
+Covers and the relation blocks must be strong in come in as per-item
+bitmasks, the ones ``Digraph`` and ``UGraph`` carry.
 
 Items go in fixed order and block j opens only once blocks 0..j-1 are
 open, so every set partition is visited once, blocks ordered by first
@@ -30,6 +32,8 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from .core import _reaches
+
 
 class SearchCounter:
     """Mutable counters threaded through a search: nodes visited, and
@@ -42,29 +46,9 @@ class SearchCounter:
         self.strong_prunes = 0
 
 
-def neighbor_masks(adjacency: Sequence[Sequence[int]]) -> tuple:
-    """One bitmask per vertex with bit w set for each listed neighbor w."""
-    return tuple(sum(1 << w for w in nbrs) for nbrs in adjacency)
-
-
-def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
-    """Every member of ``block`` is reachable from the single-bit mask
-    ``root`` along ``masks`` without leaving ``allowed``."""
-    seen = frontier = root
-    while frontier and block & ~seen:
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & allowed & ~seen
-        seen |= frontier
-    return not block & ~seen
-
-
 def partition_search(
     n: int,
-    cover: Sequence[Sequence[int]],
+    cover: Sequence[int],
     k: int,
     strong_masks: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
     counter: Optional[SearchCounter] = None,
@@ -74,10 +58,11 @@ def partition_search(
     when ``strong_masks`` is given, every block is strong.
 
     Partitions are yielded as tuples of frozensets ordered by minimum
-    member.  ``cover[x]`` lists the items whose presence in a block
-    satisfies x's requirement toward that block.  ``strong_masks`` is a
-    pair of per-item out- and in-neighbor bitmasks (see
-    ``neighbor_masks``) of the relation the blocks must be strong in.
+    member.  ``cover[x]`` is the bitmask of the items whose presence in a
+    block satisfies x's requirement toward that block.  ``strong_masks``
+    is a pair of per-item out- and in-neighbor bitmasks (as
+    ``Digraph.out_masks`` and ``Digraph.in_masks``) of the relation the
+    blocks must be strong in.
     """
     if not (1 <= k <= n):
         return
@@ -86,10 +71,7 @@ def partition_search(
 
     # covered_by[x] = items y such that x appears in cover[y]; assigning x
     # to a block satisfies those items's requirement toward that block.
-    covered_by = [[] for _ in range(n)]
-    for x in range(n):
-        for y in cover[x]:
-            covered_by[y].append(x)
+    covered_by = [[y for y in range(n) if cover[y] >> x & 1] for x in range(n)]
 
     block_of = [-1] * n
     # members[j]: bitmask of the items assigned to block j.
@@ -99,7 +81,7 @@ def partition_search(
     # zero_blocks[x]: number of blocks j < k with hits[x][j] == 0.
     zero_blocks = [k] * n
     # pending[x]: members of cover[x] not yet assigned.
-    pending = [len(cover[x]) for x in range(n)]
+    pending = [cover[x].bit_count() for x in range(n)]
     full = (1 << n) - 1
 
     def violated(x: int) -> bool:

@@ -18,6 +18,7 @@ from .critical import (
     NOT_APPLICABLE,
     characterization_holds,
     deletion_profile,
+    first_failure,
 )
 from .domination import (
     VertexPartition,
@@ -267,22 +268,11 @@ def cmd_critical(args) -> int:
     profile = deletion_profile(D)
     print(f"strong in-domatic number: {profile.value}")
     print("arc        still-strong  value-after")
-    critical = True
-    reason = None
     for record in profile.records:
         after = "-" if record.value_after is None else str(record.value_after)
         print(f"({record.arc[0]},{record.arc[1]})".ljust(11) + f"{str(record.still_strong).lower():<14}{after}")
-        if not record.still_strong:
-            critical = False
-            if reason is None:
-                reason = f"arc {record.arc} deletion destroys strongness"
-        elif record.value_after != profile.value - 1:
-            critical = False
-            if reason is None:
-                reason = (
-                    f"arc {record.arc} deletion leaves value {record.value_after}"
-                )
-    print(f"critical: {'yes' if critical else 'no' + (' (' + reason + ')' if reason else '')}")
+    reason = first_failure(profile)
+    print(f"critical: {'yes' if reason is None else f'no ({reason})'}")
     result = characterization_holds(D)
     if result.status == NOT_APPLICABLE:
         print(f"characterization: not applicable ({result.reason})")

@@ -8,10 +8,9 @@ and hashable, so they may be shared freely.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from functools import cached_property
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class NotStrongError(ValueError):
@@ -27,7 +26,9 @@ class Digraph:
     """Immutable loopless simple directed graph.
 
     ``labels`` is cosmetic display text per vertex; it never affects any
-    computation.
+    computation.  ``out_masks`` and ``in_masks`` are computed once per
+    instance, on first use; they are not fields, so equality, hashing and
+    ``repr`` ignore them.
     """
 
     vertex_count: int
@@ -40,6 +41,16 @@ class Digraph:
 
     def sorted_arcs(self) -> list:
         return sorted(self.arcs)
+
+    @cached_property
+    def out_masks(self) -> tuple:
+        """Bit w of ``out_masks[v]`` is set iff (v, w) is an arc."""
+        return _masks(self.vertex_count, self.arcs)
+
+    @cached_property
+    def in_masks(self) -> tuple:
+        """Bit w of ``in_masks[v]`` is set iff (w, v) is an arc."""
+        return _masks(self.vertex_count, [(v, u) for u, v in self.arcs])
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.vertex_count}, m={len(self.arcs)})"
@@ -71,22 +82,32 @@ def make_digraph(vertex_count: int, arcs: Iterable[Arc], labels=None) -> Digraph
     return Digraph(vertex_count, frozenset(arc_list), labels)
 
 
-@lru_cache(maxsize=None)
-def out_adjacency(D: Digraph) -> tuple:
-    """Out-neighbor lists indexed by vertex id, each sorted ascending."""
-    adj = [[] for _ in range(D.vertex_count)]
-    for u, v in D.arcs:
-        adj[u].append(v)
-    return tuple(tuple(sorted(a)) for a in adj)
+def _masks(n: int, pairs) -> tuple:
+    """One bitmask per vertex of ``range(n)``: bit w of entry v is set for
+    each pair (v, w)."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+    return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def in_adjacency(D: Digraph) -> tuple:
-    """In-neighbor lists indexed by vertex id, each sorted ascending."""
-    adj = [[] for _ in range(D.vertex_count)]
-    for u, v in D.arcs:
-        adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
+def _members(mask: int) -> frozenset:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
+    """Every member of ``block`` is reachable from the single-bit mask
+    ``root`` along ``masks`` without leaving ``allowed``."""
+    seen = frontier = root
+    while frontier and block & ~seen:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & allowed & ~seen
+        seen |= frontier
+    return not block & ~seen
 
 
 def _check_vertex(D: Digraph, v: int) -> None:
@@ -97,35 +118,35 @@ def _check_vertex(D: Digraph, v: int) -> None:
 def out_neighbors(D: Digraph, v: int) -> frozenset:
     """All z with (v, z) an arc."""
     _check_vertex(D, v)
-    return frozenset(out_adjacency(D)[v])
+    return _members(D.out_masks[v])
 
 
 def in_neighbors(D: Digraph, v: int) -> frozenset:
     """All z with (z, v) an arc."""
     _check_vertex(D, v)
-    return frozenset(in_adjacency(D)[v])
+    return _members(D.in_masks[v])
 
 
 def out_degree(D: Digraph, v: int) -> int:
     _check_vertex(D, v)
-    return len(out_adjacency(D)[v])
+    return D.out_masks[v].bit_count()
 
 
 def in_degree(D: Digraph, v: int) -> int:
     _check_vertex(D, v)
-    return len(in_adjacency(D)[v])
+    return D.in_masks[v].bit_count()
 
 
 def min_out_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
         raise ValueError("empty digraph has no minimum out-degree")
-    return min(len(a) for a in out_adjacency(D))
+    return min(mask.bit_count() for mask in D.out_masks)
 
 
 def min_in_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
         raise ValueError("empty digraph has no minimum in-degree")
-    return min(len(a) for a in in_adjacency(D))
+    return min(mask.bit_count() for mask in D.in_masks)
 
 
 def induced_subdigraph(D: Digraph, S) -> tuple:
@@ -165,33 +186,27 @@ def arc_induced_subdigraph(D: Digraph, E) -> tuple:
     return make_digraph(len(members), new_arcs, labels), tuple(members)
 
 
-def _reaches_all(adj, start: int, n: int) -> bool:
-    seen = [False] * n
-    seen[start] = True
-    queue = deque([start])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count == n
-
-
 def is_strong(D: Digraph) -> bool:
     """True iff every ordered vertex pair is joined by a walk.
 
     The single-vertex digraph counts as strong, so singleton induced
     subdigraphs behave correctly inside partition checks.
     """
-    n = D.vertex_count
-    if n == 0:
+    return is_strong_subset(D, range(D.vertex_count))
+
+
+def is_strong_subset(D: Digraph, S) -> bool:
+    """The subdigraph induced by the nonempty vertex set S is strong."""
+    vertices = 0
+    for v in S:
+        _check_vertex(D, v)
+        vertices |= 1 << v
+    if not vertices:
         raise ValueError("strong connectivity is undefined for the empty digraph")
-    if n == 1:
-        return True
-    return _reaches_all(out_adjacency(D), 0, n) and _reaches_all(in_adjacency(D), 0, n)
+    root = vertices & -vertices
+    return _reaches(root, D.out_masks, vertices, vertices) and _reaches(
+        root, D.in_masks, vertices, vertices
+    )
 
 
 def is_semicomplete(D: Digraph) -> bool:
@@ -231,7 +246,7 @@ def delete_arc(D: Digraph, arc: Arc) -> Digraph:
 
 
 def _degree_signature(D: Digraph, v: int) -> tuple:
-    return (len(out_adjacency(D)[v]), len(in_adjacency(D)[v]))
+    return (D.out_masks[v].bit_count(), D.in_masks[v].bit_count())
 
 
 def are_isomorphic(D: Digraph, H: Digraph) -> bool:

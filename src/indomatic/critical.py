@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import (
-    Digraph,
-    NotStrongError,
-    delete_arc,
-    induced_subdigraph,
-    is_strong,
-    out_adjacency,
-)
+from .core import Digraph, NotStrongError, delete_arc, is_strong, is_strong_subset
 from .domination import VertexPartition
 from .solver import enumerate_max_partitions, strong_in_domatic_number
 
@@ -74,13 +67,22 @@ def deletion_profile(D: Digraph) -> DeletionProfile:
     return DeletionProfile(value, tuple(records))
 
 
+def first_failure(profile: DeletionProfile) -> Optional[str]:
+    """Why the profiled digraph is not critical: the first arc whose
+    deletion destroys strongness or does not lower the value by exactly
+    one.  None when the digraph is critical."""
+    for r in profile.records:
+        if not r.still_strong:
+            return f"arc {r.arc} deletion destroys strongness"
+        if r.value_after != profile.value - 1:
+            return f"arc {r.arc} deletion leaves value {r.value_after}"
+    return None
+
+
 def is_strong_in_domatic_critical(D: Digraph) -> bool:
     """Definitional check: every deletion stays strong and loses exactly
     one from the strong in-domatic number."""
-    profile = deletion_profile(D)
-    return all(
-        r.still_strong and r.value_after == profile.value - 1 for r in profile.records
-    )
+    return first_failure(deletion_profile(D)) is None
 
 
 def partition_is_rigid(D: Digraph, P: VertexPartition):
@@ -91,19 +93,17 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
 
     Returns (ok, reason) for diagnostics.
     """
-    adj = out_adjacency(D)
     for i, block in enumerate(P.blocks()):
-        sub, mapping = induced_subdigraph(D, block)
-        for arc in sub.sorted_arcs():
-            if is_strong(delete_arc(sub, arc)):
-                orig = (mapping[arc[0]], mapping[arc[1]])
+        for arc in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
+            if is_strong_subset(delete_arc(D, arc), block):
                 return False, (
-                    f"block {i} stays strong after deleting internal arc {orig}"
+                    f"block {i} stays strong after deleting internal arc {arc}"
                 )
+        members = sum(1 << v for v in block)
         for x in range(D.vertex_count):
             if x in block:
                 continue
-            hits = sum(1 for z in adj[x] if z in block)
+            hits = (D.out_masks[x] & members).bit_count()
             if hits != 1:
                 return False, (
                     f"vertex {x} has {hits} out-neighbors in block {i}, expected 1"

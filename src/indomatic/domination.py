@@ -14,11 +14,9 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
-    arc_induced_subdigraph,
     converse,
-    induced_subdigraph,
     is_strong,
-    out_adjacency,
+    is_strong_subset,
 )
 
 
@@ -135,13 +133,10 @@ def _require_subset(D: Digraph, S) -> frozenset:
 def is_in_dominating(D: Digraph, S) -> bool:
     """Every vertex outside S has an out-neighbor inside S."""
     S = _require_subset(D, S)
-    adj = out_adjacency(D)
-    for x in range(D.vertex_count):
-        if x in S:
-            continue
-        if not any(z in S for z in adj[x]):
-            return False
-    return True
+    members = sum(1 << v for v in S)
+    return all(
+        mask & members for x, mask in enumerate(D.out_masks) if not members >> x & 1
+    )
 
 
 def is_out_dominating(D: Digraph, S) -> bool:
@@ -154,11 +149,7 @@ def is_strong_in_dominating(D: Digraph, S) -> bool:
 
     Singletons induce the one-vertex digraph, which is strong.
     """
-    S = _require_subset(D, S)
-    if not is_in_dominating(D, S):
-        return False
-    sub, _ = induced_subdigraph(D, S)
-    return is_strong(sub)
+    return is_in_dominating(D, S) and is_strong_subset(D, S)
 
 
 def _validate_vertex_partition(D: Digraph, P: VertexPartition) -> None:
@@ -175,8 +166,7 @@ def check_strong_in_domatic_partition(D: Digraph, P: VertexPartition) -> Partiti
     for i, block in enumerate(P.blocks()):
         if not is_in_dominating(D, block):
             return PartitionDiagnosis(False, i, "not in-dominating")
-        sub, _ = induced_subdigraph(D, block)
-        if not is_strong(sub):
+        if not is_strong_subset(D, block):
             return PartitionDiagnosis(False, i, "induced subdigraph not strong")
     return PartitionDiagnosis(True)
 
@@ -217,11 +207,9 @@ def is_strong_cover(D: Digraph, E) -> bool:
     for a in E:
         if a not in D.arcs:
             raise ValueError(f"{a} is not an arc of the digraph")
-    touched = {u for u, _ in E} | {v for _, v in E}
-    if len(touched) != D.vertex_count:
-        return False
-    sub, _ = arc_induced_subdigraph(D, E)
-    return is_strong(sub)
+    # E spans every vertex and is strong exactly when the digraph (V, E)
+    # is strong: n >= 2 here, so a vertex E misses is isolated in it.
+    return is_strong(Digraph(D.vertex_count, E))
 
 
 def is_strong_cover_partition(D: Digraph, Q: ArcPartition) -> bool:

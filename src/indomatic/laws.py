@@ -18,13 +18,11 @@ from .core import (
     NotStrongError,
     converse,
     delete_arc,
-    induced_subdigraph,
     is_complete,
     is_semicomplete,
     is_strong,
-    is_symmetric_arc,
+    is_strong_subset,
     min_out_degree,
-    out_adjacency,
 )
 from .domination import (
     VertexPartition,
@@ -44,10 +42,8 @@ from .solver import (
 from .transforms import cartesian_product, line_digraph, middle, root, subdivision, total
 from .undirected import (
     NO_DOMINATING_CLIQUE,
-    adjacency,
     clique_domination_number,
     connected_domatic_number,
-    is_connected,
     is_planar,
     underlying_graph,
     vertex_connectivity,
@@ -161,18 +157,16 @@ def upper_bound(D: Digraph) -> int:
 def _is_symmetric_path(D: Digraph, block) -> bool:
     """The block induces a digraph whose underlying graph is a path and
     whose every arc is symmetric; singletons qualify as trivial paths."""
-    sub, _ = induced_subdigraph(D, block)
-    for arc in sub.arcs:
-        if not is_symmetric_arc(sub, arc):
-            return False
-    UG = underlying_graph(sub)
-    k = UG.vertex_count
-    if len(UG.edges) != k - 1:
+    members = sum(1 << v for v in block)
+    inside = [D.out_masks[v] & members for v in block]
+    if any(D.in_masks[v] & members != mask for v, mask in zip(block, inside)):
         return False
-    adj = adjacency(UG)
-    if any(len(a) > 2 for a in adj):
-        return False
-    return is_connected(UG)
+    degrees = [mask.bit_count() for mask in inside]
+    return (
+        sum(degrees) == 2 * (len(degrees) - 1)
+        and max(degrees) <= 2
+        and is_strong_subset(D, block)
+    )
 
 
 def _sample_spanning_strong(D: Digraph, rng: random.Random) -> Digraph:
@@ -297,14 +291,15 @@ def check_all(
     if n >= 2 and value != delta_out + 1:
         entry("L6", NOT_APPLICABLE, reason="value below the plus-one bound")
     else:
-        n0 = frozenset(
-            v for v in range(n) if len(out_adjacency(D)[v]) == delta_out
-        )
-        sub, _ = induced_subdigraph(D, n0)
+        n0 = frozenset(v for v in range(n) if D.out_masks[v].bit_count() == delta_out)
+        n0_mask = sum(1 << v for v in n0)
+        # n0 induces a complete digraph: each member's out-neighbors
+        # include every other member.
+        n0_complete = all(n0_mask & ~D.out_masks[v] == 1 << v for v in n0)
         gamma = clique_domination_number(UG)
         ok = (
             n0 <= in_dom
-            and is_complete(sub)
+            and n0_complete
             and is_in_dominating(D, n0)
             and gamma is not NO_DOMINATING_CLIQUE
             and gamma <= len(n0)

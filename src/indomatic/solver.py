@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
 from ._search import SearchCounter, arc_partition_search, largest_partition
-from ._search import neighbor_masks, partition_search
+from ._search import partition_search
 from .core import (
     Digraph,
     NotStrongError,
@@ -29,8 +29,6 @@ from .core import (
     is_strong,
     min_in_degree,
     min_out_degree,
-    out_adjacency,
-    in_adjacency,
 )
 from .undirected import underlying_graph, vertex_connectivity
 from .domination import (
@@ -80,10 +78,6 @@ def _require_strong(D: Digraph) -> None:
         raise NotStrongError(_NO_PARTITION_MSG)
 
 
-def _strong_masks(D: Digraph) -> tuple:
-    return neighbor_masks(out_adjacency(D)), neighbor_masks(in_adjacency(D))
-
-
 def _stats(counter: SearchCounter, start: float) -> SolveStats:
     return SolveStats(counter.nodes, time.perf_counter() - start, counter.strong_prunes)
 
@@ -118,7 +112,7 @@ def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
     n = D.vertex_count
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1,{n}]")
-    found = next(partition_search(n, out_adjacency(D), k, _strong_masks(D)), None)
+    found = next(partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)), None)
     if found is None:
         return None
     return VertexPartition.from_blocks(found)
@@ -132,10 +126,11 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
     start = time.perf_counter()
     counter = SearchCounter()
     n = D.vertex_count
-    cover = out_adjacency(D)
-    masks = _strong_masks(D)
+    masks = (D.out_masks, D.in_masks)
     found = largest_partition(
-        lambda k: partition_search(n, cover, k, masks, counter), search_cap(D), (range(n),)
+        lambda k: partition_search(n, D.out_masks, k, masks, counter),
+        search_cap(D),
+        (range(n),),
     )
     witness = VertexPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
@@ -164,9 +159,8 @@ def in_domatic_number(D: Digraph) -> SolveResult:
         raise ValueError("empty digraph")
     start = time.perf_counter()
     counter = SearchCounter()
-    cover = out_adjacency(D)
     found = largest_partition(
-        lambda k: partition_search(n, cover, k, None, counter),
+        lambda k: partition_search(n, D.out_masks, k, None, counter),
         min_out_degree(D) + 1,
         (range(n),),
     )
@@ -180,7 +174,8 @@ def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
     """All strong in-domatic partitions with the maximum block count, each
     reported once with blocks ordered by minimum member."""
     value = strong_in_domatic_number(D).value
-    searched = partition_search(D.vertex_count, out_adjacency(D), value, _strong_masks(D))
+    masks = (D.out_masks, D.in_masks)
+    searched = partition_search(D.vertex_count, D.out_masks, value, masks)
     return [VertexPartition.from_blocks(parts) for parts in searched]
 
 

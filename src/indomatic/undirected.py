@@ -2,24 +2,33 @@
 clique domination and planarity."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Tuple, Union
 
 import networkx as nx
 
-from ._search import largest_partition, neighbor_masks, partition_search
-from .core import Digraph
+from ._search import largest_partition, partition_search
+from .core import Digraph, _masks, _reaches
 
 
 @dataclass(frozen=True)
 class UGraph:
-    """Immutable simple undirected graph; edges are sorted vertex pairs."""
+    """Immutable simple undirected graph; edges are sorted vertex pairs.
+
+    ``masks`` is computed once per instance, on first use; it is not a
+    field, so equality, hashing and ``repr`` ignore it.
+    """
 
     vertex_count: int
     edges: frozenset
+
+    @cached_property
+    def masks(self) -> tuple:
+        """Bit w of ``masks[v]`` is set iff {v, w} is an edge."""
+        pairs = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
+        return _masks(self.vertex_count, pairs)
 
     def __repr__(self) -> str:
         return f"UGraph(n={self.vertex_count}, m={len(self.edges)})"
@@ -66,45 +75,23 @@ def underlying_graph(D: Digraph) -> UGraph:
     )
 
 
-@lru_cache(maxsize=None)
-def adjacency(G: UGraph) -> tuple:
-    adj = [set() for _ in range(G.vertex_count)]
-    for u, v in G.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return tuple(frozenset(a) for a in adj)
+def _connected_on(masks, vertices: int) -> bool:
+    return _reaches(vertices & -vertices, masks, vertices, vertices)
 
 
-def neighbors(G: UGraph, v: int) -> frozenset:
-    if not (0 <= v < G.vertex_count):
-        raise ValueError(f"vertex {v} outside [0,{G.vertex_count})")
-    return adjacency(G)[v]
-
-
-def _connected_on(adj, members) -> bool:
-    members = set(members)
-    start = next(iter(members))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w in members and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen == members
+def _vertex_mask(S) -> int:
+    return sum(1 << v for v in S)
 
 
 def is_connected(G: UGraph) -> bool:
     if G.vertex_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    return _connected_on(adjacency(G), range(G.vertex_count))
+    return _connected_on(G.masks, (1 << G.vertex_count) - 1)
 
 
 def is_connected_subset(G: UGraph, S) -> bool:
     """The subgraph induced by S is connected."""
-    S = _require_subset(G, S)
-    return _connected_on(adjacency(G), S)
+    return _connected_on(G.masks, _vertex_mask(_require_subset(G, S)))
 
 
 def _require_subset(G: UGraph, S) -> frozenset:
@@ -119,9 +106,10 @@ def _require_subset(G: UGraph, S) -> frozenset:
 
 def is_dominating_set(G: UGraph, S) -> bool:
     """Every vertex outside S has a neighbor in S."""
-    S = _require_subset(G, S)
-    adj = adjacency(G)
-    return all(adj[x] & S for x in range(G.vertex_count) if x not in S)
+    members = _vertex_mask(_require_subset(G, S))
+    return all(
+        mask & members for x, mask in enumerate(G.masks) if not members >> x & 1
+    )
 
 
 def is_clique(G: UGraph, S) -> bool:
@@ -139,11 +127,10 @@ def vertex_connectivity(G: UGraph) -> int:
         raise ValueError("vertex connectivity needs at least two vertices")
     if not is_connected(G):
         raise ValueError("vertex connectivity is defined for connected graphs")
-    adj = adjacency(G)
+    full = (1 << n) - 1
     for size in range(0, n - 1):
         for cut in combinations(range(n), size):
-            rest = [v for v in range(n) if v not in cut]
-            if len(rest) >= 2 and not _connected_on(adj, rest):
+            if not _connected_on(G.masks, full & ~_vertex_mask(cut)):
                 return size
     return n - 1
 
@@ -161,16 +148,13 @@ def connected_domatic_number(G: UGraph):
         raise ValueError("empty graph")
     if not is_connected(G):
         raise ValueError("connected domatic partitions need a connected graph")
-    adj = adjacency(G)
-    cover = [sorted(adj[v]) for v in range(n)]
-    # Connectivity is strongness of the symmetric neighbor relation.
-    masks = neighbor_masks(adj)
-
-    cap = min(len(a) for a in adj) + 1 if n > 1 else 1
+    masks = G.masks
+    cap = min(mask.bit_count() for mask in masks) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
         cap = min(cap, vertex_connectivity(G))
     best = largest_partition(
-        lambda k: partition_search(n, cover, k, (masks, masks)), cap, (frozenset(range(n)),)
+        # Connectivity is strongness of the symmetric neighbor relation.
+        lambda k: partition_search(n, masks, k, (masks, masks)), cap, (frozenset(range(n)),)
     )
     return len(best), best
 

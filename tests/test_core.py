@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from collections import deque
 
 import pytest
 from hypothesis import given
 
+import indomatic
 from indomatic import (
     arc_induced_subdigraph,
     are_isomorphic,
@@ -12,13 +15,13 @@ from indomatic import (
     is_complete,
     is_semicomplete,
     is_strong,
+    is_strong_subset,
     is_symmetric_arc,
     make_digraph,
     min_in_degree,
     min_out_degree,
     out_neighbors,
 )
-from indomatic.core import in_adjacency, out_adjacency
 
 from .conftest import digraphs
 
@@ -65,6 +68,52 @@ class TestNeighborhoods:
     def test_invalid_vertex(self, c3):
         with pytest.raises(ValueError):
             out_neighbors(c3, 3)
+
+
+class TestAdjacencyMasks:
+    @given(digraphs(max_n=6))
+    def test_bits_are_arcs(self, D):
+        n = D.vertex_count
+        for v in range(n):
+            for w in range(n):
+                assert bool(D.out_masks[v] >> w & 1) == ((v, w) in D.arcs)
+                assert bool(D.in_masks[v] >> w & 1) == ((w, v) in D.arcs)
+
+    def test_masks_are_not_fields(self, c4):
+        fresh = make_digraph(4, c4.arcs)
+        assert c4.out_masks and c4.in_masks
+        assert "out_masks" in vars(c4) and "out_masks" not in vars(fresh)
+        assert fresh == c4 and hash(fresh) == hash(c4)
+        assert repr(fresh) == repr(c4)
+        assert {c4: "value"}[fresh] == "value"
+
+    def test_no_module_level_cache(self):
+        # Discover caches the way the benchmark tracer does: any object a
+        # package module binds that has ``cache_info``.
+        modules = [indomatic] + [
+            importlib.import_module(f"indomatic.{info.name}")
+            for info in pkgutil.iter_modules(indomatic.__path__)
+        ]
+        cached = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info")
+        ]
+        assert cached == []
+
+
+class TestStrongSubset:
+    def test_cycle(self, c4):
+        assert is_strong_subset(c4, range(4))
+        assert is_strong_subset(c4, {2})
+        assert not is_strong_subset(c4, {0, 1})
+
+    def test_invalid_rejected(self, c3):
+        with pytest.raises(ValueError):
+            is_strong_subset(c3, set())
+        with pytest.raises(ValueError):
+            is_strong_subset(c3, {3})
 
 
 class TestDegrees:
@@ -221,7 +270,7 @@ class TestConverse:
     def test_degree_duality(self, D):
         C = converse(D)
         for v in range(D.vertex_count):
-            assert len(out_adjacency(D)[v]) == len(in_adjacency(C)[v])
+            assert D.out_masks[v] == C.in_masks[v]
         if D.vertex_count:
             assert min_out_degree(D) == min_in_degree(C)
 

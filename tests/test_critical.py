@@ -12,9 +12,23 @@ from indomatic import (
     partition_is_rigid,
     strong_in_domatic_number,
 )
-from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE
+from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE, first_failure
 
 from .conftest import strong_digraphs
+
+
+class TestFirstFailure:
+    def test_critical_has_none(self, k3):
+        assert first_failure(deletion_profile(k3)) is None
+
+    def test_bridge(self, c3):
+        reason = first_failure(deletion_profile(c3))
+        assert reason == "arc (0, 1) deletion destroys strongness"
+
+    def test_value_kept(self):
+        D = make_digraph(3, [(0, 1), (0, 2), (1, 0), (2, 1)])
+        reason = first_failure(deletion_profile(D))
+        assert reason == "arc (0, 1) deletion leaves value 1"
 
 
 class TestDeletionProfile:

@@ -1,11 +1,13 @@
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
 from indomatic import (
     ArcPartition,
     VertexPartition,
+    all_labeled_digraphs,
     check_strong_in_domatic_partition,
     converse,
     in_dominating_vertices,
@@ -15,12 +17,13 @@ from indomatic import (
     is_strong_in_dominating,
     is_strong_in_domatic_partition,
     is_strong_out_domatic_partition,
+    is_strong_subset,
     line_digraph,
     make_digraph,
     strong_in_domatic_number,
 )
 
-from .conftest import strong_digraphs
+from .conftest import digraphs, strong_digraphs
 
 
 def singletons(n):
@@ -189,3 +192,79 @@ class TestCoverLineCorrespondence:
         single = {arc_to_id[(1, 0)]}
         assert is_strong_in_dominating(L, single)
         assert not is_strong_cover(k2, {(1, 0)})
+
+
+def _nx_digraph(D):
+    G = nx.DiGraph()
+    G.add_nodes_from(range(D.vertex_count))
+    G.add_edges_from(D.arcs)
+    return G
+
+
+def _nx_block_reason(G, S):
+    """Why S fails as a block of a strong in-domatic partition, from the
+    definitions and networkx alone; None when it does not fail."""
+    if not all(any(z in S for z in G.successors(x)) for x in G if x not in S):
+        return "not in-dominating"
+    if not nx.is_strongly_connected(G.subgraph(S)):
+        return "induced subdigraph not strong"
+    return None
+
+
+def _check_subsets_against_networkx(D):
+    G = _nx_digraph(D)
+    n = D.vertex_count
+    for size in range(1, n + 1):
+        for S in map(frozenset, combinations(range(n), size)):
+            reason = _nx_block_reason(G, S)
+            assert is_strong_subset(D, S) == nx.is_strongly_connected(G.subgraph(S))
+            assert is_strong_in_dominating(D, S) == (reason is None)
+            blocks = [S] if size == n else [S, frozenset(range(n)) - S]
+            reasons = [_nx_block_reason(G, B) for B in blocks]
+            failing = [i for i, why in enumerate(reasons) if why is not None]
+            expected = (failing[0], reasons[failing[0]]) if failing else (None, None)
+            diagnosis = check_strong_in_domatic_partition(
+                D, VertexPartition.from_blocks(blocks)
+            )
+            assert (diagnosis.failing_block, diagnosis.reason) == expected
+            assert diagnosis.ok == (expected == (None, None))
+
+
+def _check_covers_against_networkx(D):
+    arcs = D.sorted_arcs()
+    for size in range(1, len(arcs) + 1):
+        for E in combinations(arcs, size):
+            H = nx.DiGraph(E)  # its vertices are exactly the end-vertices of E
+            spans = H.number_of_nodes() == D.vertex_count
+            assert is_strong_cover(D, E) == (spans and nx.is_strongly_connected(H))
+
+
+class TestAgainstNetworkx:
+    """The predicates behind ``brute_force_oracle`` and the search's
+    pruning share one bitmask closure; networkx is the outside reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_subset_of_every_small_digraph(self, n):
+        for D in all_labeled_digraphs(n):
+            _check_subsets_against_networkx(D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(min_n=4, max_n=7))
+    def test_every_subset_of_drawn_digraphs(self, D):
+        _check_subsets_against_networkx(D)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_strong_cover_on_every_arc_subset(self, n):
+        strong = [
+            D
+            for D in all_labeled_digraphs(n)
+            if len(D.arcs) <= 6 and nx.is_strongly_connected(_nx_digraph(D))
+        ]
+        assert strong
+        for D in strong:
+            _check_covers_against_networkx(D)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=6, max_arcs=6))
+    def test_strong_cover_on_every_arc_subset_drawn(self, D):
+        _check_covers_against_networkx(D)

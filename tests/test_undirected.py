@@ -60,6 +60,24 @@ class TestUnderlyingGraph:
         assert len(underlying_graph(k2).edges) == 1
 
 
+class TestNeighborMasks:
+    @given(connected_graphs(min_n=1, max_n=6))
+    def test_bits_are_edges(self, G):
+        n = G.vertex_count
+        for v in range(n):
+            for w in range(n):
+                edge = (min(v, w), max(v, w)) in G.edges
+                assert bool(G.masks[v] >> w & 1) == edge
+
+    def test_masks_are_not_fields(self):
+        G, fresh = cycle_graph(5), cycle_graph(5)
+        assert G.masks
+        assert "masks" in vars(G) and "masks" not in vars(fresh)
+        assert fresh == G and hash(fresh) == hash(G)
+        assert repr(fresh) == repr(G)
+        assert {G: "value"}[fresh] == "value"
+
+
 class TestVertexConnectivity:
     def test_cycle(self):
         assert vertex_connectivity(cycle_graph(4)) == 2
