@@ -19,6 +19,7 @@ from .core import (
     min_in_degree,
     min_out_degree,
     out_neighbors,
+    stays_strong_without,
 )
 from .critical import (
     CharacterizationResult,
@@ -63,6 +64,7 @@ from .solver import (
     in_domatic_number,
     lambda_number,
     strong_in_domatic_number,
+    strong_in_domatic_partitions,
     strong_out_domatic_number,
 )
 from .transforms import (

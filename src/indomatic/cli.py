@@ -16,7 +16,7 @@ from . import families, fileio, laws, transforms
 from .core import Digraph, NotStrongError, converse, is_strong
 from .critical import (
     NOT_APPLICABLE,
-    characterization_holds,
+    characterize,
     deletion_profile,
     first_failure,
 )
@@ -77,24 +77,18 @@ def cmd_compute(args) -> int:
     D = _read_digraph(args.infile)
     what = args.what
     witness_text = None
-    if what == "dsminus":
-        result = strong_in_domatic_number(D)
-        value = result.value
-        witness_text = fileio.write_partition(result.witness)
-    elif what == "dsplus":
-        result = strong_out_domatic_number(D)
-        value = result.value
-        witness_text = fileio.write_partition(result.witness)
-    elif what == "lambda":
-        if D.vertex_count < 2 or not D.arcs:
+    if what in ("dsminus", "dsplus", "lambda", "indomatic"):
+        if what == "lambda" and (D.vertex_count < 2 or not D.arcs):
             raise Inapplicable("arc covers need a digraph with at least one arc")
-        result = lambda_number(D)
+        result = {
+            "dsminus": strong_in_domatic_number,
+            "dsplus": strong_out_domatic_number,
+            "lambda": lambda_number,
+            "indomatic": in_domatic_number,
+        }[what](D)
         value = result.value
-        witness_text = fileio.write_arc_partition(result.witness)
-    elif what == "indomatic":
-        result = in_domatic_number(D)
-        value = result.value
-        witness_text = fileio.write_partition(result.witness)
+        write = fileio.write_arc_partition if what == "lambda" else fileio.write_partition
+        witness_text = write(result.witness)
     elif what == "dc":
         G = underlying_graph(D)
         if not is_connected(G):
@@ -273,7 +267,7 @@ def cmd_critical(args) -> int:
         print(f"({record.arc[0]},{record.arc[1]})".ljust(11) + f"{str(record.still_strong).lower():<14}{after}")
     reason = first_failure(profile)
     print(f"critical: {'yes' if reason is None else f'no ({reason})'}")
-    result = characterization_holds(D)
+    result = characterize(D, profile.value, profile.breaking_arc)
     if result.status == NOT_APPLICABLE:
         print(f"characterization: not applicable ({result.reason})")
     else:

@@ -110,9 +110,20 @@ def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
     return not block & ~seen
 
 
-def _check_vertex(D: Digraph, v: int) -> None:
+def _check_vertex(D, v: int) -> None:
     if not (0 <= v < D.vertex_count):
         raise ValueError(f"vertex {v} outside [0,{D.vertex_count})")
+
+
+def _require_subset(D, S) -> frozenset:
+    """S as a frozenset, checked nonempty and inside the vertex range of
+    the digraph or undirected graph D."""
+    S = frozenset(S)
+    if not S:
+        raise ValueError("set must be nonempty")
+    for v in S:
+        _check_vertex(D, v)
+    return S
 
 
 def out_neighbors(D: Digraph, v: int) -> frozenset:
@@ -125,16 +136,6 @@ def in_neighbors(D: Digraph, v: int) -> frozenset:
     """All z with (z, v) an arc."""
     _check_vertex(D, v)
     return _members(D.in_masks[v])
-
-
-def out_degree(D: Digraph, v: int) -> int:
-    _check_vertex(D, v)
-    return D.out_masks[v].bit_count()
-
-
-def in_degree(D: Digraph, v: int) -> int:
-    _check_vertex(D, v)
-    return D.in_masks[v].bit_count()
 
 
 def min_out_degree(D: Digraph) -> int:
@@ -207,6 +208,18 @@ def is_strong_subset(D: Digraph, S) -> bool:
     return _reaches(root, D.out_masks, vertices, vertices) and _reaches(
         root, D.in_masks, vertices, vertices
     )
+
+
+def stays_strong_without(D: Digraph, arc: Arc) -> bool:
+    """For a strong ``D``: ``D`` minus ``arc`` is still strong.  That holds
+    exactly when the head of (u, v) stays reachable from its tail, since a
+    walk through the arc can take that detour instead."""
+    u, v = arc
+    if (u, v) not in D.arcs:
+        raise ValueError(f"({u},{v}) is not an arc of the digraph")
+    masks = list(D.out_masks)
+    masks[u] &= ~(1 << v)
+    return _reaches(1 << u, masks, (1 << D.vertex_count) - 1, 1 << v)
 
 
 def is_semicomplete(D: Digraph) -> bool:

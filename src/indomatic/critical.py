@@ -12,9 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .core import Digraph, NotStrongError, delete_arc, is_strong, is_strong_subset
+from .core import (
+    Digraph,
+    NotStrongError,
+    delete_arc,
+    is_strong,
+    is_strong_subset,
+    stays_strong_without,
+)
 from .domination import VertexPartition
-from .solver import enumerate_max_partitions, strong_in_domatic_number
+from .solver import strong_in_domatic_number, strong_in_domatic_partitions
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -34,6 +41,11 @@ class DeletionProfile:
 
     value: int
     records: tuple
+
+    @property
+    def breaking_arc(self) -> Optional[Tuple[int, int]]:
+        """The first arc whose deletion destroys strongness, or None."""
+        return next((r.arc for r in self.records if not r.still_strong), None)
 
 
 @dataclass(frozen=True)
@@ -58,12 +70,9 @@ def deletion_profile(D: Digraph) -> DeletionProfile:
     value = strong_in_domatic_number(D).value
     records = []
     for arc in D.sorted_arcs():
-        reduced = delete_arc(D, arc)
-        if is_strong(reduced):
-            after = strong_in_domatic_number(reduced).value
-            records.append(ArcDeletionRecord(arc, True, after))
-        else:
-            records.append(ArcDeletionRecord(arc, False, None))
+        strong = stays_strong_without(D, arc)
+        after = strong_in_domatic_number(delete_arc(D, arc)).value if strong else None
+        records.append(ArcDeletionRecord(arc, strong, after))
     return DeletionProfile(value, tuple(records))
 
 
@@ -117,17 +126,25 @@ def characterization_holds(D: Digraph) -> CharacterizationResult:
     deletion preserves strongness."""
     if not is_strong(D):
         raise NotStrongError("characterization applies to strong digraphs")
-    value = strong_in_domatic_number(D).value
+    breaking = (a for a in D.sorted_arcs() if not stays_strong_without(D, a))
+    return characterize(D, strong_in_domatic_number(D).value, next(breaking, None))
+
+
+def characterize(
+    D: Digraph, value: int, breaking_arc: Optional[Tuple[int, int]]
+) -> CharacterizationResult:
+    """``characterization_holds`` for a strong digraph whose strong
+    in-domatic number and first strongness-destroying arc (None if there
+    is none) are already known; D is not solved again."""
     if value < 2:
         return CharacterizationResult(
             NOT_APPLICABLE, "strong in-domatic number below two"
         )
-    for arc in D.sorted_arcs():
-        if not is_strong(delete_arc(D, arc)):
-            return CharacterizationResult(
-                NOT_APPLICABLE, f"deleting arc {arc} destroys strongness"
-            )
-    for P in enumerate_max_partitions(D):
+    if breaking_arc is not None:
+        return CharacterizationResult(
+            NOT_APPLICABLE, f"deleting arc {breaking_arc} destroys strongness"
+        )
+    for P in strong_in_domatic_partitions(D, value):
         ok, reason = partition_is_rigid(D, P)
         if not ok:
             return CharacterizationResult(FAILS, reason, P)

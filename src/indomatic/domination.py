@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
+    _require_subset,
     converse,
     is_strong,
     is_strong_subset,
@@ -120,16 +121,6 @@ class PartitionDiagnosis:
         return self.ok
 
 
-def _require_subset(D: Digraph, S) -> frozenset:
-    S = frozenset(S)
-    if not S:
-        raise ValueError("set must be nonempty")
-    for v in S:
-        if not (0 <= v < D.vertex_count):
-            raise ValueError(f"vertex {v} outside [0,{D.vertex_count})")
-    return S
-
-
 def is_in_dominating(D: Digraph, S) -> bool:
     """Every vertex outside S has an out-neighbor inside S."""
     S = _require_subset(D, S)
@@ -137,11 +128,6 @@ def is_in_dominating(D: Digraph, S) -> bool:
     return all(
         mask & members for x, mask in enumerate(D.out_masks) if not members >> x & 1
     )
-
-
-def is_out_dominating(D: Digraph, S) -> bool:
-    """Every vertex outside S has an in-neighbor inside S."""
-    return is_in_dominating(converse(D), S)
 
 
 def is_strong_in_dominating(D: Digraph, S) -> bool:
@@ -191,10 +177,12 @@ def is_in_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
 
 
 def in_dominating_vertices(D: Digraph) -> frozenset:
-    """Vertices v whose singleton {v} is an in-dominating set."""
-    return frozenset(
-        v for v in range(D.vertex_count) if is_in_dominating(D, frozenset([v]))
-    )
+    """Vertices v whose singleton {v} is an in-dominating set: bit v is set
+    in ``out_masks[x] | 1 << x`` for every vertex x."""
+    common = (1 << D.vertex_count) - 1
+    for x, mask in enumerate(D.out_masks):
+        common &= mask | 1 << x
+    return frozenset(v for v in range(D.vertex_count) if common >> v & 1)
 
 
 def is_strong_cover(D: Digraph, E) -> bool:

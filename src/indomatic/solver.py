@@ -102,20 +102,25 @@ def search_cap(D: Digraph) -> int:
     return max(cap, 1)
 
 
+def strong_in_domatic_partitions(D: Digraph, k: int) -> Iterator[VertexPartition]:
+    """Every strong in-domatic partition of D with exactly k blocks, each
+    once, blocks ordered by minimum member; the first is the canonical
+    witness for k."""
+    _require_strong(D)
+    n = D.vertex_count
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} outside [1,{n}]")
+    for found in partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)):
+        yield VertexPartition.from_blocks(found)
+
+
 def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
     """A strong in-domatic partition with exactly k blocks, or None.
 
     Because the feasible k form a prefix, absence here certifies absence
     for every larger k as well.
     """
-    _require_strong(D)
-    n = D.vertex_count
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside [1,{n}]")
-    found = next(partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)), None)
-    if found is None:
-        return None
-    return VertexPartition.from_blocks(found)
+    return next(strong_in_domatic_partitions(D, k), None)
 
 
 def strong_in_domatic_number(D: Digraph) -> SolveResult:
@@ -173,10 +178,7 @@ def in_domatic_number(D: Digraph) -> SolveResult:
 def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
     """All strong in-domatic partitions with the maximum block count, each
     reported once with blocks ordered by minimum member."""
-    value = strong_in_domatic_number(D).value
-    masks = (D.out_masks, D.in_masks)
-    searched = partition_search(D.vertex_count, D.out_masks, value, masks)
-    return [VertexPartition.from_blocks(parts) for parts in searched]
+    return list(strong_in_domatic_partitions(D, strong_in_domatic_number(D).value))
 
 
 # ---------------------------------------------------------------------------

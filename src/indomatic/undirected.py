@@ -10,7 +10,7 @@ from typing import Iterable, Tuple, Union
 import networkx as nx
 
 from ._search import largest_partition, partition_search
-from .core import Digraph, _masks, _reaches
+from .core import Digraph, _masks, _reaches, _require_subset
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,6 @@ def is_connected(G: UGraph) -> bool:
 def is_connected_subset(G: UGraph, S) -> bool:
     """The subgraph induced by S is connected."""
     return _connected_on(G.masks, _vertex_mask(_require_subset(G, S)))
-
-
-def _require_subset(G: UGraph, S) -> frozenset:
-    S = frozenset(S)
-    if not S:
-        raise ValueError("set must be nonempty")
-    for v in S:
-        if not (0 <= v < G.vertex_count):
-            raise ValueError(f"vertex {v} outside [0,{G.vertex_count})")
-    return S
 
 
 def is_dominating_set(G: UGraph, S) -> bool:

@@ -1,9 +1,12 @@
 """Shared strategies and small named graphs for the test suite."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import strategies as st
 
+from indomatic import critical, laws, solver
 from indomatic import (
     complete_digraph,
     directed_cycle,
@@ -44,6 +47,23 @@ def strong_digraphs(draw, min_n=1, max_n=5, max_arcs=None):
         else []
     )
     return make_digraph(n, sorted(base | set(extra)))
+
+
+def solve_counts(run) -> Counter:
+    """Run ``run()`` with every module binding of strong_in_domatic_number
+    replaced by a counting wrapper; return the solves per (order, arcs)."""
+    counts = Counter()
+    original = solver.strong_in_domatic_number
+
+    def counting(D):
+        counts[D.vertex_count, D.arcs] += 1
+        return original(D)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (solver, laws, critical):
+            patch.setattr(module, "strong_in_domatic_number", counting)
+        run()
+    return counts
 
 
 @pytest.fixture

@@ -3,13 +3,15 @@ import pkgutil
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import indomatic
 from indomatic import (
+    all_labeled_digraphs,
     arc_induced_subdigraph,
     are_isomorphic,
     converse,
+    delete_arc,
     induced_subdigraph,
     in_neighbors,
     is_complete,
@@ -21,9 +23,10 @@ from indomatic import (
     min_in_degree,
     min_out_degree,
     out_neighbors,
+    stays_strong_without,
 )
 
-from .conftest import digraphs
+from .conftest import digraphs, strong_digraphs
 
 
 def transitive_tournament(n):
@@ -232,6 +235,33 @@ class TestStrong:
                 assert (a, b) in D.arcs
         else:
             assert walk is None
+
+
+class TestStaysStrongWithout:
+    def test_every_deletion_of_order_at_most_four(self):
+        deletions = 0
+        for n in range(1, 5):
+            for D in all_labeled_digraphs(n):
+                if not is_strong(D):
+                    continue
+                for arc in D.sorted_arcs():
+                    deletions += 1
+                    assert stays_strong_without(D, arc) == is_strong(delete_arc(D, arc))
+        assert deletions == 11912
+
+    @settings(max_examples=60, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=8))
+    def test_matches_rebuilt_digraph(self, D):
+        for arc in D.sorted_arcs():
+            assert stays_strong_without(D, arc) == is_strong(delete_arc(D, arc))
+
+    def test_leaves_the_digraph_alone(self, c4):
+        assert not stays_strong_without(c4, (0, 1))
+        assert c4.out_masks[0] == 0b10 and is_strong(c4)
+
+    def test_non_arc_rejected(self, c4):
+        with pytest.raises(ValueError):
+            stays_strong_without(c4, (1, 0))
 
 
 class TestShapePredicates:

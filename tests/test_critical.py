@@ -12,9 +12,17 @@ from indomatic import (
     partition_is_rigid,
     strong_in_domatic_number,
 )
-from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE, first_failure
+from indomatic.cli import main
+from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE, characterize, first_failure
+from indomatic.fileio import write_digraph
 
-from .conftest import strong_digraphs
+from .conftest import solve_counts, strong_digraphs
+
+# A digraph meeting the characterization's hypotheses (value two, every
+# deletion keeps it strong) that is not critical.
+NOT_CRITICAL_4 = make_digraph(
+    4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)]
+)
 
 
 class TestFirstFailure:
@@ -100,13 +108,9 @@ class TestCharacterization:
         assert result.status == NOT_APPLICABLE
 
     def test_failing_example(self):
-        # Hypotheses hold (value 2, every deletion stays strong) but a
-        # maximum partition gives some outside vertex two out-neighbors in
-        # one block, so the digraph is not critical.
-        D = make_digraph(
-            4,
-            [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)],
-        )
+        # A maximum partition gives some outside vertex two out-neighbors
+        # in one block, so the digraph is not critical.
+        D = NOT_CRITICAL_4
         result = characterization_holds(D)
         assert result.status == FAILS
         assert not is_strong_in_domatic_critical(D)
@@ -131,3 +135,36 @@ class TestCriticalityRouteEquivalence:
         if result.status == NOT_APPLICABLE:
             return
         assert (result.status == HOLDS) == is_strong_in_domatic_critical(D)
+
+
+ONE_SOLVE_INPUTS = [
+    pair_critical_family(3).digraph,
+    critical_composition_family(6, 2).digraph,
+    NOT_CRITICAL_4,
+    make_digraph(2, [(0, 1), (1, 0)]),
+    make_digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+]
+
+
+class TestOneSolveOfD:
+    @pytest.mark.parametrize("D", ONE_SOLVE_INPUTS)
+    def test_characterization(self, D):
+        counts = solve_counts(lambda: characterization_holds(D))
+        assert counts == {(D.vertex_count, D.arcs): 1}
+
+    @pytest.mark.parametrize("D", ONE_SOLVE_INPUTS)
+    def test_cli_critical(self, D, tmp_path, capsys):
+        path = tmp_path / "d.dg"
+        path.write_text(write_digraph(D))
+        counts = solve_counts(lambda: main(["critical", "--in", str(path)]))
+        assert counts[D.vertex_count, D.arcs] == 1
+        assert set(counts.values()) == {1}
+        assert "characterization:" in capsys.readouterr().out
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(min_n=2, max_n=5))
+    def test_profile_inputs_give_the_same_verdict(self, D):
+        profile = deletion_profile(D)
+        assert characterize(D, profile.value, profile.breaking_arc) == (
+            characterization_holds(D)
+        )

@@ -104,6 +104,15 @@ class TestInDominatingVertices:
     def test_cycle(self, c4):
         assert in_dominating_vertices(c4) == frozenset()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_definition(self, n):
+        # v in-dominates on its own iff every other vertex has an arc to v.
+        for D in all_labeled_digraphs(n):
+            expected = {
+                v for v in range(n) if all((x, v) in D.arcs for x in range(n) if x != v)
+            }
+            assert in_dominating_vertices(D) == expected
+
 
 class TestStrongCover:
     def test_identity(self, c3):

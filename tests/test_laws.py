@@ -3,17 +3,25 @@ from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
+    all_labeled_digraphs,
     check_all,
     complete_digraph,
     directed_cycle,
+    is_planar,
+    is_semicomplete,
+    is_strong,
     make_digraph,
+    min_out_degree,
     pair_critical_family,
     strong_in_domatic_number,
+    underlying_graph,
     upper_bound,
+    vertex_connectivity,
 )
 from indomatic.laws import HOLDS, NOT_APPLICABLE, VIOLATED
+from indomatic.solver import search_cap
 
-from .conftest import strong_digraphs
+from .conftest import solve_counts, strong_digraphs
 
 
 def statuses(report):
@@ -22,6 +30,36 @@ def statuses(report):
 
 def details(report, law_id):
     return next(e.details for e in report.entries if e.law_id == law_id)
+
+
+def written_out_upper_bound(D):
+    """Minimum out-degree plus one; the minimum out-degree when no vertex
+    has an arc from every other; vertex connectivity of the underlying
+    graph off the semicomplete case; four on planar input."""
+    n = D.vertex_count
+    if n == 1:
+        return 1
+    delta = min_out_degree(D)
+    bound = delta + 1
+    if not any(all((x, v) in D.arcs for x in range(n) if x != v) for v in range(n)):
+        bound = min(bound, delta)
+    if not is_semicomplete(D):
+        bound = min(bound, vertex_connectivity(underlying_graph(D)))
+    if is_planar(underlying_graph(D)):
+        bound = min(bound, 4)
+    return max(bound, 1)
+
+
+def coverage_corpus():
+    return [
+        complete_digraph(2),
+        complete_digraph(3),
+        complete_digraph(4),
+        directed_cycle(3),
+        directed_cycle(4),
+        directed_cycle(5),
+        pair_critical_family(3).digraph,
+    ]
 
 
 class TestUpperBound:
@@ -45,6 +83,26 @@ class TestUpperBound:
     @given(strong_digraphs(max_n=5))
     def test_admissible(self, D):
         assert upper_bound(D) >= strong_in_domatic_number(D).value
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_formula_on_every_strong_digraph(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                assert upper_bound(D) == written_out_upper_bound(D)
+
+    # Order 9 is past the order where the solver's cap drops connectivity.
+    @settings(max_examples=40, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=9))
+    def test_formula(self, D):
+        assert upper_bound(D) == written_out_upper_bound(D)
+
+    def test_connectivity_past_the_solver_cap(self):
+        # Two complete digraphs of order five sharing vertex 0: order 9,
+        # minimum out-degree four, and vertex 0 cuts the underlying graph.
+        halves = ([0, 1, 2, 3, 4], [0, 5, 6, 7, 8])
+        D = make_digraph(9, {(u, v) for h in halves for u in h for v in h if u != v})
+        assert search_cap(D) == 5
+        assert upper_bound(D) == written_out_upper_bound(D) == 1
 
 
 class TestCheckAll:
@@ -113,19 +171,29 @@ class TestLawCoverage:
     def test_every_law_holds_somewhere(self):
         """Across a small corpus every law must fire at least once (no law
         is permanently gated off)."""
-        corpus = [
-            complete_digraph(2),
-            complete_digraph(3),
-            complete_digraph(4),
-            directed_cycle(3),
-            directed_cycle(4),
-            directed_cycle(5),
-            pair_critical_family(3).digraph,
-        ]
         seen = set()
-        for D in corpus:
+        for D in coverage_corpus():
             for e in check_all(D).entries:
                 if e.status == HOLDS:
                     seen.add(e.law_id)
                 assert e.status != VIOLATED
         assert seen == {f"L{i}" for i in range(1, 17)}
+
+
+def assert_each_digraph_solved_once(D, **options):
+    counts = solve_counts(lambda: check_all(D, **options))
+    # The one repeat is L16's by construction: strong_out_domatic_number
+    # solves converse(converse(D)), which is D again.
+    assert counts.pop((D.vertex_count, D.arcs)) == 2
+    assert set(counts.values()) <= {1}
+
+
+class TestOneSolvePerDigraph:
+    def test_coverage_corpus(self):
+        for D in coverage_corpus():
+            assert_each_digraph_solved_once(D)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strong_digraphs(max_n=5))
+    def test_random_strong(self, D):
+        assert_each_digraph_solved_once(D, subdigraph_samples=5, seed=1)

@@ -24,6 +24,7 @@ from indomatic import (
     make_digraph,
     pair_critical_family,
     strong_in_domatic_number,
+    strong_in_domatic_partitions,
     strong_out_domatic_number,
     upper_bound,
 )
@@ -89,6 +90,25 @@ class TestExistsPartitionIntoK:
         value = strong_in_domatic_number(D).value
         for k in range(1, D.vertex_count + 1):
             assert (exists_partition_into_k(D, k) is not None) == (k <= value)
+
+
+class TestStrongInDomaticPartitions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_k_matches_unpruned_enumeration(self, n):
+        for D in all_labeled_digraphs(n):
+            if not is_strong(D):
+                continue
+            by_size = strong_in_domatic_partitions_by_size(D)
+            for k in range(1, n + 1):
+                assert list(strong_in_domatic_partitions(D, k)) == by_size[k]
+
+    def test_non_strong_rejected(self):
+        with pytest.raises(NotStrongError):
+            next(strong_in_domatic_partitions(make_digraph(2, [(0, 1)]), 1))
+
+    def test_k_out_of_range(self, k3):
+        with pytest.raises(ValueError):
+            next(strong_in_domatic_partitions(k3, 0))
 
 
 class TestStrongInDomaticNumber:
