@@ -126,15 +126,13 @@ def partition_search(
             block_of[i] = b
             members[b] |= bit
             now_opened = max(opened, b + 1)
-            touched = []
             ok = True
             for y in covered_by[i]:
                 pending[y] -= 1
                 hits[y][b] += 1
                 if hits[y][b] == 1:
                     zero_blocks[y] -= 1
-                touched.append(y)
-            for y in touched:
+            for y in covered_by[i]:
                 if violated(y):
                     ok = False
                     break
@@ -145,7 +143,7 @@ def partition_search(
                 ok = False
             if ok:
                 yield from assign(i + 1, now_opened)
-            for y in touched:
+            for y in covered_by[i]:
                 hits[y][b] -= 1
                 if hits[y][b] == 0:
                     zero_blocks[y] += 1

@@ -15,9 +15,9 @@ from typing import Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
+    _reaches,
     delete_arc,
     is_strong,
-    is_strong_subset,
     stays_strong_without,
 )
 from .domination import VertexPartition
@@ -103,12 +103,20 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
     Returns (ok, reason) for diagnostics.
     """
     for i, block in enumerate(P.blocks()):
-        for arc in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
-            if is_strong_subset(delete_arc(D, arc), block):
-                return False, (
-                    f"block {i} stays strong after deleting internal arc {arc}"
-                )
         members = sum(1 << v for v in block)
+        root = members & -members
+        for u, v in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
+            # D[block] minus (u, v): the arc's bit cleared in copies of
+            # both mask tuples, then a forward and a backward closure.
+            out_masks, in_masks = list(D.out_masks), list(D.in_masks)
+            out_masks[u] &= ~(1 << v)
+            in_masks[v] &= ~(1 << u)
+            if _reaches(root, out_masks, members, members) and _reaches(
+                root, in_masks, members, members
+            ):
+                return False, (
+                    f"block {i} stays strong after deleting internal arc {(u, v)}"
+                )
         for x in range(D.vertex_count):
             if x in block:
                 continue

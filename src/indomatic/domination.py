@@ -65,7 +65,8 @@ class VertexPartition:
 
     def canonical(self) -> "VertexPartition":
         """Relabel blocks in increasing order of their minimum member."""
-        order = sorted(range(self.block_count), key=lambda b: min(self.blocks()[b]))
+        blocks = self.blocks()
+        order = sorted(range(self.block_count), key=lambda b: min(blocks[b]))
         rename = {old: new for new, old in enumerate(order)}
         return VertexPartition(tuple(rename[b] for b in self.block_of), self.block_count)
 
@@ -102,7 +103,8 @@ class ArcPartition:
         return tuple(frozenset(b) for b in out)
 
     def canonical(self) -> "ArcPartition":
-        order = sorted(range(self.block_count), key=lambda b: min(self.blocks()[b]))
+        blocks = self.blocks()
+        order = sorted(range(self.block_count), key=lambda b: min(blocks[b]))
         rename = {old: new for new, old in enumerate(order)}
         return ArcPartition(
             tuple((arc, rename[b]) for arc, b in self.block_of), self.block_count

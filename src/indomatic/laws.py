@@ -140,8 +140,8 @@ def upper_bound(D: Digraph) -> int:
     """Best proven cap on the strong in-domatic number of a strong
     digraph: the solver's ``search_cap`` (minimum out-degree plus one, or
     the minimum out-degree without an in-dominating vertex), lowered to the
-    underlying vertex connectivity off the semicomplete case at every
-    order, and to four on planar input."""
+    underlying vertex connectivity off the semicomplete case, and to four
+    on planar input."""
     if not is_strong(D):
         raise NotStrongError("upper bound applies to strong digraphs")
     bound = search_cap(D)

@@ -25,12 +25,10 @@ from .core import (
     Digraph,
     NotStrongError,
     converse,
-    is_semicomplete,
     is_strong,
     min_in_degree,
     min_out_degree,
 )
-from .undirected import underlying_graph, vertex_connectivity
 from .domination import (
     ArcPartition,
     VertexPartition,
@@ -83,23 +81,11 @@ def _stats(counter: SearchCounter, start: float) -> SolveStats:
 
 
 def search_cap(D: Digraph) -> int:
-    """Admissible cap on the strong in-domatic number, from the proven
-    bounds: minimum out-degree plus one; minimum out-degree when no vertex
-    is in-dominating on its own; the underlying graph's vertex
-    connectivity when the digraph is not semicomplete.
-
-    Connectivity is exhaustive-search priced, so it only joins the cap at
-    small orders where it is cheap; skipping it merely loosens pruning.
-    """
-    n = D.vertex_count
-    if n == 1:
-        return 1
-    cap = min_out_degree(D) + 1
-    if not in_dominating_vertices(D):
-        cap = min(cap, min_out_degree(D))
-    if 2 <= n <= 8 and not is_semicomplete(D):
-        cap = min(cap, vertex_connectivity(underlying_graph(D)))
-    return max(cap, 1)
+    """Admissible cap on the strong in-domatic number of a strong digraph,
+    from the two degree bounds: minimum out-degree plus one, or the
+    minimum out-degree when no vertex is in-dominating on its own."""
+    delta = min_out_degree(D)
+    return delta + 1 if in_dominating_vertices(D) else delta
 
 
 def strong_in_domatic_partitions(D: Digraph, k: int) -> Iterator[VertexPartition]:

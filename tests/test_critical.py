@@ -3,10 +3,15 @@ from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
+    VertexPartition,
+    all_labeled_digraphs,
     characterization_holds,
     critical_composition_family,
+    delete_arc,
     deletion_profile,
+    is_strong,
     is_strong_in_domatic_critical,
+    is_strong_subset,
     make_digraph,
     pair_critical_family,
     partition_is_rigid,
@@ -15,6 +20,7 @@ from indomatic import (
 from indomatic.cli import main
 from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE, characterize, first_failure
 from indomatic.fileio import write_digraph
+from indomatic.solver import _all_set_partitions
 
 from .conftest import solve_counts, strong_digraphs
 
@@ -119,12 +125,38 @@ class TestCharacterization:
 
 class TestRigidityDiagnostics:
     def test_reports_extra_neighbor(self, k4):
-        from indomatic import VertexPartition
-
         P = VertexPartition.from_blocks([[0, 1], [2, 3]])
         ok, reason = partition_is_rigid(k4, P)
         assert not ok
         assert "expected 1" in reason or "stays strong" in reason
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_deletion_builds_on_every_partition(self, n):
+        partitions = [
+            VertexPartition.from_blocks(blocks)
+            for blocks in _all_set_partitions(list(range(n)))
+        ]
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                for P in partitions:
+                    assert partition_is_rigid(D, P) == rigid_by_deletion_builds(D, P)
+
+
+def rigid_by_deletion_builds(D, P):
+    """``partition_is_rigid`` with each internal deletion built as a new
+    digraph and each block's strongness asked of it."""
+    for i, block in enumerate(P.blocks()):
+        for arc in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
+            if is_strong_subset(delete_arc(D, arc), block):
+                return False, f"block {i} stays strong after deleting internal arc {arc}"
+        for x in range(D.vertex_count):
+            if x not in block:
+                hits = sum((x, y) in D.arcs for y in block)
+                if hits != 1:
+                    return False, (
+                        f"vertex {x} has {hits} out-neighbors in block {i}, expected 1"
+                    )
+    return True, None
 
 
 class TestCriticalityRouteEquivalence:

@@ -90,13 +90,13 @@ class TestUpperBound:
             if is_strong(D):
                 assert upper_bound(D) == written_out_upper_bound(D)
 
-    # Order 9 is past the order where the solver's cap drops connectivity.
+    # Orders past the exhaustive scan, where hypothesis draws the inputs.
     @settings(max_examples=40, deadline=None)
     @given(strong_digraphs(min_n=5, max_n=9))
     def test_formula(self, D):
         assert upper_bound(D) == written_out_upper_bound(D)
 
-    def test_connectivity_past_the_solver_cap(self):
+    def test_connectivity_below_the_solver_cap(self):
         # Two complete digraphs of order five sharing vertex 0: order 9,
         # minimum out-degree four, and vertex 0 cuts the underlying graph.
         halves = ([0, 1, 2, 3, 4], [0, 5, 6, 7, 8])

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from indomatic import solver
 from indomatic._search import arc_partition_search
+from indomatic.solver import search_cap
 from indomatic import (
     ArcPartition,
     NotStrongError,
@@ -364,3 +365,32 @@ class TestBounds:
     @given(strong_digraphs(max_n=5))
     def test_upper_bound_admissible(self, D):
         assert strong_in_domatic_number(D).value <= upper_bound(D)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_search_cap_on_every_strong_digraph(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                assert search_cap(D) == written_out_search_cap(D)
+
+    @settings(max_examples=40, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=9))
+    def test_search_cap_formula(self, D):
+        assert search_cap(D) == written_out_search_cap(D)
+
+    def test_search_cap_ignores_connectivity(self):
+        # Two complete digraphs of order four sharing vertex 0: vertex 0
+        # cuts the underlying graph, but the cap is the degree bound.
+        halves = ([0, 1, 2, 3], [0, 4, 5, 6])
+        D = make_digraph(7, {(u, v) for h in halves for u in h for v in h if u != v})
+        assert search_cap(D) == 4
+        assert strong_in_domatic_number(D).value == 1
+
+
+def written_out_search_cap(D):
+    """Minimum out-degree plus one, or the minimum out-degree when no
+    vertex has an arc from every other."""
+    n = D.vertex_count
+    delta = min(sum((u, v) in D.arcs for v in range(n)) for u in range(n))
+    if any(all((x, v) in D.arcs for x in range(n) if x != v) for v in range(n)):
+        return delta + 1
+    return delta
