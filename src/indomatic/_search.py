@@ -12,6 +12,8 @@ bitmasks, the ones ``Digraph`` and ``UGraph`` carry.
 Items go in fixed order and block j opens only once blocks 0..j-1 are
 open, so every set partition is visited once, blocks ordered by first
 member: the first witness is canonical and enumeration duplicate-free.
+The cover check relies on that order: once item i is placed, the
+unassigned items are exactly those after i.
 
 Strongness is checked during the search, not on complete partitions.
 After each vertex is placed, every open block B with two or more members
@@ -70,33 +72,27 @@ def partition_search(
         counter = SearchCounter()
 
     # covered_by[x] = items y such that x appears in cover[y]; assigning x
-    # to a block satisfies those items's requirement toward that block.
+    # to a block satisfies those items' requirement toward that block.
     covered_by = [[y for y in range(n) if cover[y] >> x & 1] for x in range(n)]
 
-    block_of = [-1] * n
     # members[j]: bitmask of the items assigned to block j.
     members = [0] * k
-    # hits[x][j]: number of assigned members of cover[x] sitting in block j.
-    hits = [[0] * k for _ in range(n)]
-    # zero_blocks[x]: number of blocks j < k with hits[x][j] == 0.
-    zero_blocks = [k] * n
-    # pending[x]: members of cover[x] not yet assigned.
-    pending = [cover[x].bit_count() for x in range(n)]
+    # own[x]: the bit of x's block, 0 while x is unassigned.
+    own = [0] * n
+    # seen[x]: bits of the blocks holding an assigned member of cover[x].
+    seen = [0] * n
     full = (1 << n) - 1
 
-    def violated(x: int) -> bool:
-        # x must eventually see a cover member in every block except its
-        # own; unopened blocks count as unseen, which is exactly right
-        # because all k blocks end up nonempty.
-        own_is_zero = block_of[x] == -1 or hits[x][block_of[x]] == 0
-        required = zero_blocks[x] - (1 if own_is_zero else 0)
-        return required > pending[x]
+    def violated(x: int, rest: int) -> bool:
+        # x must still see a cover member in every block but its own, and
+        # only its unassigned ones (in rest) can supply them; unopened blocks
+        # count as unseen, exactly right as all k blocks end up nonempty.
+        return k - 1 - (seen[x] & ~own[x]).bit_count() > (cover[x] & rest).bit_count()
 
-    def cannot_be_strong(i: int, opened: int) -> bool:
+    def cannot_be_strong(rest: int, opened: int) -> bool:
         # Some open block of two or more members has left the strong
-        # component of min(block) in D[block + items after i].
+        # component of min(block) in D[block + rest].
         out_masks, in_masks = strong_masks
-        rest = full & ~((2 << i) - 1)
         for block in members[:opened]:
             if block & (block - 1):
                 root = block & -block
@@ -112,44 +108,40 @@ def partition_search(
         counter.nodes += 1
         if i == n:
             if opened == k:
-                blocks = [[] for _ in range(k)]
-                for x in range(n):
-                    blocks[block_of[x]].append(x)
-                yield tuple(frozenset(b) for b in blocks)
+                yield tuple(
+                    frozenset(x for x in range(n) if block >> x & 1)
+                    for block in members
+                )
             return
         # Not enough unassigned items left to open the remaining blocks.
         if k - opened > n - i:
             return
-        top = min(opened + 1, k)
         bit = 1 << i
-        for b in range(top):
-            block_of[i] = b
+        # Items are placed in index order: once i is, the rest are unassigned.
+        rest = full & ~((bit << 1) - 1)
+        for b in range(min(opened + 1, k)):
+            own[i] = block_bit = 1 << b
             members[b] |= bit
-            now_opened = max(opened, b + 1)
+            for y in covered_by[i]:
+                seen[y] |= block_bit
             ok = True
             for y in covered_by[i]:
-                pending[y] -= 1
-                hits[y][b] += 1
-                if hits[y][b] == 1:
-                    zero_blocks[y] -= 1
-            for y in covered_by[i]:
-                if violated(y):
+                if violated(y, rest):
                     ok = False
                     break
-            if ok and violated(i):
+            if ok and violated(i, rest):
                 ok = False
-            if ok and strong_masks is not None and cannot_be_strong(i, now_opened):
+            now_opened = max(opened, b + 1)
+            if ok and strong_masks is not None and cannot_be_strong(rest, now_opened):
                 counter.strong_prunes += 1
                 ok = False
             if ok:
                 yield from assign(i + 1, now_opened)
-            for y in covered_by[i]:
-                hits[y][b] -= 1
-                if hits[y][b] == 0:
-                    zero_blocks[y] += 1
-                pending[y] += 1
             members[b] &= ~bit
-            block_of[i] = -1
+            for y in covered_by[i]:
+                if not members[b] & cover[y]:
+                    seen[y] &= ~block_bit
+        own[i] = 0
 
     yield from assign(0, 0)
 

@@ -35,6 +35,7 @@ from .domination import (
 from .families import complete_digraph
 from .solver import (
     SolveResult,
+    exists_partition_into_k,
     lambda_number,
     search_cap,
     strong_in_domatic_number,
@@ -268,14 +269,20 @@ def check_all(
         kappa = vertex_connectivity(UG)
         entry("L3", HOLDS if value <= kappa else VIOLATED, value=value, kappa=kappa)
 
+    # The solver's k loop stops at the L4/L5 bounds: at that cap, decide the
+    # next k once.  Below it the solver has already refuted value + 1.
+    bounded = value
+    if value == search_cap(D) < n and exists_partition_into_k(D, value + 1) is not None:
+        bounded = value + 1
+
     # L4: minimum out-degree plus one.
     if n == 1:
         entry("L4", NOT_APPLICABLE, reason="trivial digraph")
     else:
         entry(
             "L4",
-            HOLDS if value <= delta_out + 1 else VIOLATED,
-            value=value,
+            HOLDS if bounded <= delta_out + 1 else VIOLATED,
+            value=bounded,
             min_out_degree=delta_out,
         )
 
@@ -285,8 +292,8 @@ def check_all(
     else:
         entry(
             "L5",
-            HOLDS if value <= delta_out else VIOLATED,
-            value=value,
+            HOLDS if bounded <= delta_out else VIOLATED,
+            value=bounded,
             min_out_degree=delta_out,
         )
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
+    VertexPartition,
     all_labeled_digraphs,
     check_all,
     complete_digraph,
@@ -18,6 +19,7 @@ from indomatic import (
     upper_bound,
     vertex_connectivity,
 )
+from indomatic import laws
 from indomatic.laws import HOLDS, NOT_APPLICABLE, VIOLATED
 from indomatic.solver import search_cap
 
@@ -156,6 +158,33 @@ class TestCheckAll:
     def test_no_violations_on_random_strong(self, D):
         report = check_all(D, subdigraph_samples=3, seed=5)
         assert report.violations() == ()
+
+    @pytest.mark.parametrize(
+        "D, law",
+        [
+            # Value 1 = cap, no in-dominating vertex.
+            (directed_cycle(4), "L5"),
+            # Value 3 = cap < 4, in-dominating vertices {0, 2, 3}.
+            (make_digraph(4, complete_digraph(4).arcs - {(0, 1)}), "L4"),
+        ],
+    )
+    def test_bound_is_checked_past_the_cap(self, monkeypatch, D, law):
+        # A partition one block past the solver's cap must show as a
+        # violation, not be hidden by the cap.
+        asked = []
+
+        def beyond_cap(H, k):
+            asked.append((H, k))
+            singletons = [[v] for v in range(k - 1)]
+            return VertexPartition.from_blocks(singletons + [range(k - 1, H.vertex_count)])
+
+        value = strong_in_domatic_number(D).value
+        assert value == search_cap(D) < D.vertex_count
+        monkeypatch.setattr(laws, "exists_partition_into_k", beyond_cap)
+        report = check_all(D, subdigraph_samples=1)
+        assert asked == [(D, value + 1)]
+        assert statuses(report)[law] == VIOLATED
+        assert details(report, law)["value"] == value + 1
 
     def test_oversize_is_honestly_capped(self):
         big = directed_cycle(9)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from indomatic import solver
-from indomatic._search import arc_partition_search
+from indomatic._search import arc_partition_search, partition_search
+from indomatic.domination import is_in_domatic_partition
 from indomatic.solver import search_cap
 from indomatic import (
     ArcPartition,
@@ -233,6 +234,25 @@ class TestInDomaticNumber:
         D = make_digraph(3, [(0, 1), (1, 2)])
         result = in_domatic_number(D)
         assert result.value == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_search_matches_unpruned_enumeration(self, n):
+        # Without strong masks the cover check is the search's only pruning.
+        partitions = [
+            VertexPartition.from_blocks(blocks)
+            for blocks in solver._all_set_partitions(list(range(n)))
+        ]
+        for D in all_labeled_digraphs(n):
+            for k in range(1, n + 1):
+                found = [
+                    VertexPartition.from_blocks(blocks)
+                    for blocks in partition_search(n, D.out_masks, k)
+                ]
+                assert found == [
+                    P
+                    for P in partitions
+                    if P.block_count == k and is_in_domatic_partition(D, P)
+                ]
 
 
 class TestEnumerateMaxPartitions:
