@@ -5,7 +5,9 @@ drops the strong in-domatic number by exactly one.  The characterization
 route checks instead that every maximum partition is rigid: blocks lose
 strongness under any internal deletion, and every outside vertex has
 exactly one out-neighbor per block.  Both routes are implemented and their
-equivalence is itself part of the test suite.
+equivalence is itself part of the test suite.  A deletion profile solves D
+once: D's witness, or a merge of two of its blocks, bounds the value after
+each deletion, so at most one decision per deletion is left to search.
 """
 from __future__ import annotations
 
@@ -20,8 +22,15 @@ from .core import (
     is_strong,
     stays_strong_without,
 )
-from .domination import VertexPartition
-from .solver import strong_in_domatic_number, strong_in_domatic_partitions
+from .domination import VertexPartition, is_strong_in_domatic_partition
+from .solver import (
+    WitnessCheckError,
+    _check_witness,
+    exists_partition_into_k,
+    search_cap,
+    strong_in_domatic_number,
+    strong_in_domatic_partitions,
+)
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -65,15 +74,62 @@ class CharacterizationResult:
 
 
 def deletion_profile(D: Digraph) -> DeletionProfile:
+    """Strongness and strong in-domatic number of D minus each arc.
+
+    D is solved once, and each deletion of an arc (u, v) that leaves
+    H = D - (u, v) strong is settled from D's canonical witness W:
+
+    1. if W is still a strong in-domatic partition of H, the value stays,
+       since every strong in-domatic partition of H is one of D as well;
+    2. otherwise merging v's block B with another block of W gives one of
+       H, so the value is at least one less.  Only B can fail in H.  When
+       u is outside B, merge B with any block not holding u (or with the
+       other block when W has two).  When u is inside B, a path of H from
+       u to v enters the vertices that reach v within B from some vertex
+       outside B: merge B with that vertex's block;
+    3. k = value is decided for H when ``search_cap(H)`` allows it; the
+       value is k when a partition exists and one less otherwise.
+
+    Every shortcut is certified by the public predicate.  A missing
+    merge, a cap below the merge's bound or a search result that fails
+    the predicate raises ``WitnessCheckError``.
+    """
     if not is_strong(D):
         raise NotStrongError("deletion profiles are defined for strong digraphs")
-    value = strong_in_domatic_number(D).value
+    witness = strong_in_domatic_number(D).witness
     records = []
     for arc in D.sorted_arcs():
         strong = stays_strong_without(D, arc)
-        after = strong_in_domatic_number(delete_arc(D, arc)).value if strong else None
+        after = _value_after(delete_arc(D, arc), witness, arc[1]) if strong else None
         records.append(ArcDeletionRecord(arc, strong, after))
-    return DeletionProfile(value, tuple(records))
+    return DeletionProfile(witness.block_count, tuple(records))
+
+
+def _value_after(H: Digraph, witness: VertexPartition, v: int) -> int:
+    """Strong in-domatic number of the strong digraph H, the deletion of
+    an arc (u, v) from the digraph whose canonical witness is ``witness``."""
+    value = witness.block_count
+    if is_strong_in_domatic_partition(H, witness):
+        return value
+    blocks = witness.blocks()
+    b = blocks[witness.block_of[v]]
+    merges = (
+        VertexPartition.from_blocks([b | c] + [x for x in blocks if x not in (b, c)])
+        for c in blocks
+        if c != b
+    )
+    if not any(is_strong_in_domatic_partition(H, P) for P in merges):
+        raise WitnessCheckError("no merge of two witness blocks survives the deletion")
+    cap = search_cap(H)
+    if cap < value - 1:
+        raise WitnessCheckError(f"search cap {cap} is below the merge bound {value - 1}")
+    found = exists_partition_into_k(H, value) if cap >= value else None
+    if found is None:
+        return value - 1
+    _check_witness(
+        is_strong_in_domatic_partition(H, found), "strong in-domatic partition"
+    )
+    return value
 
 
 def first_failure(profile: DeletionProfile) -> Optional[str]:

@@ -7,8 +7,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Tuple, Union
 
-import networkx as nx
-
 from ._search import largest_partition, partition_search
 from .core import Digraph, _masks, _reaches, _require_subset
 
@@ -165,6 +163,9 @@ def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:
 
 def is_planar(G: UGraph) -> bool:
     """Planarity decision, delegated to networkx's embedding algorithm."""
+    # Imported here: loading networkx doubles the memory of `import indomatic`.
+    import networkx as nx
+
     H = nx.Graph()
     H.add_nodes_from(range(G.vertex_count))
     H.add_edges_from(G.edges)

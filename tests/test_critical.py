@@ -1,26 +1,43 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
     VertexPartition,
+    WitnessCheckError,
     all_labeled_digraphs,
     characterization_holds,
+    complete_digraph,
     critical_composition_family,
     delete_arc,
     deletion_profile,
     is_strong,
     is_strong_in_domatic_critical,
+    is_strong_in_domatic_partition,
     is_strong_subset,
     make_digraph,
+    order_value_family,
     pair_critical_family,
     partition_is_rigid,
+    random_strong_digraph,
+    stays_strong_without,
     strong_in_domatic_number,
 )
+from indomatic import critical
 from indomatic.cli import main
-from indomatic.critical import FAILS, HOLDS, NOT_APPLICABLE, characterize, first_failure
+from indomatic.critical import (
+    FAILS,
+    HOLDS,
+    NOT_APPLICABLE,
+    ArcDeletionRecord,
+    DeletionProfile,
+    characterize,
+    first_failure,
+)
 from indomatic.fileio import write_digraph
-from indomatic.solver import _all_set_partitions
+from indomatic.solver import _all_set_partitions, search_cap
 
 from .conftest import solve_counts, strong_digraphs
 
@@ -76,6 +93,101 @@ class TestDeletionProfile:
         for r in profile.records:
             if r.still_strong:
                 assert profile.value - 1 <= r.value_after <= profile.value
+
+
+def profile_by_resolves(D):
+    """``deletion_profile`` with every strong deletion solved from
+    scratch, independently of D's witness."""
+    records = []
+    for arc in D.sorted_arcs():
+        strong = stays_strong_without(D, arc)
+        after = strong_in_domatic_number(delete_arc(D, arc)).value if strong else None
+        records.append(ArcDeletionRecord(arc, strong, after))
+    return DeletionProfile(strong_in_domatic_number(D).value, tuple(records))
+
+
+class TestProfileFromWitness:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_resolves_on_every_labeled_digraph(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                assert deletion_profile(D) == profile_by_resolves(D)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_matches_resolves_on_random_digraphs(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            D = random_strong_digraph(n, rng, rng.choice([0.3, 0.5, 0.7]))
+            assert deletion_profile(D) == profile_by_resolves(D)
+
+    def test_one_solve_and_no_search_where_the_witness_survives(self, monkeypatch):
+        D = order_value_family(5, 2).digraph
+        W = strong_in_domatic_number(D).witness
+        solved, searched = [], []
+        original_solve = critical.strong_in_domatic_number
+        original_search = critical.exists_partition_into_k
+
+        def solve(G):
+            solved.append(G)
+            return original_solve(G)
+
+        def search(H, k):
+            searched.append((H, k))
+            return original_search(H, k)
+
+        monkeypatch.setattr(critical, "strong_in_domatic_number", solve)
+        monkeypatch.setattr(critical, "exists_partition_into_k", search)
+        profile = deletion_profile(D)
+        assert solved == [D]
+        assert sum(r.value_after == 2 for r in profile.records) == 6
+        survivors = [
+            r.arc
+            for r in profile.records
+            if is_strong_in_domatic_partition(delete_arc(D, r.arc), W)
+        ]
+        assert survivors == [(1, 2), (1, 3)]
+        assert searched
+        assert not any(is_strong_in_domatic_partition(H, W) for H, _ in searched)
+        assert all(k <= search_cap(H) for H, k in searched)
+
+    def test_cap_below_the_merge_bound_raises(self, monkeypatch):
+        # K4* minus an arc keeps a merged witness of three blocks.
+        monkeypatch.setattr(critical, "search_cap", lambda H: 1)
+        with pytest.raises(WitnessCheckError):
+            deletion_profile(complete_digraph(4))
+
+    def test_missing_merge_raises(self, monkeypatch):
+        monkeypatch.setattr(critical, "is_strong_in_domatic_partition", lambda H, P: False)
+        with pytest.raises(WitnessCheckError):
+            deletion_profile(complete_digraph(3))
+
+    def test_invalid_search_result_raises(self, monkeypatch):
+        # order_value_family(5, 2) has deletions whose value needs a search.
+        bogus = VertexPartition.from_blocks([[0], [1, 2, 3, 4]])
+        monkeypatch.setattr(critical, "exists_partition_into_k", lambda H, k: bogus)
+        with pytest.raises(WitnessCheckError):
+            deletion_profile(order_value_family(5, 2).digraph)
+
+
+class TestLargeProfiles:
+    @pytest.mark.parametrize(
+        "D",
+        [
+            pair_critical_family(7).digraph,
+            critical_composition_family(12, 6).digraph,
+            complete_digraph(10),
+            complete_digraph(11),
+            complete_digraph(12),
+        ],
+        ids=["pair-critical-7", "composition-12-6", "K10", "K11", "K12"],
+    )
+    def test_critical(self, D):
+        assert first_failure(deletion_profile(D)) is None
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_order_value_not_critical(self, m):
+        reason = first_failure(deletion_profile(order_value_family(11, m).digraph))
+        assert reason.endswith(f"deletion leaves value {m}")
 
 
 class TestDefinitionalCriticality:

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import indomatic
 from indomatic import (
     NO_DOMINATING_CLIQUE,
     clique_domination_number,
@@ -199,6 +204,15 @@ class TestPlanarity:
     def test_k33(self):
         k33 = make_ugraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         assert not is_planar(k33)
+
+    def test_importing_the_package_leaves_networkx_unloaded(self):
+        code = "import sys, indomatic, indomatic.cli; print('networkx' in sys.modules)"
+        src = str(Path(indomatic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestSetPredicates:
