@@ -416,8 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first ``main`` call and reused: building costs far more than
+# parsing, and parsing leaves the parser as it was.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -4,8 +4,9 @@ All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
 feasible), so the solver searches k = 1, 2, ... and stops at the first
 infeasible size.  The search assigns items in fixed order with
-block-opening symmetry breaking and cuts a subtree as soon as some block
-can no longer become strong (for arc blocks: a strong cover); see
+block-opening symmetry breaking, places a vertex at once when all blocks
+are open and only one is left to it, and cuts a subtree as soon as some
+block can no longer become strong (for arc blocks: a strong cover); see
 ``_search``.  Every returned witness is checked against the public
 predicates, and a failed check raises ``WitnessCheckError``.
 
@@ -42,10 +43,14 @@ from .domination import (
 
 @dataclass(frozen=True)
 class SolveStats:
+    # Search nodes: branching steps, not counting forced placements.
     nodes: int
     seconds: float
     # Subtrees cut because a block could no longer become strong.
     strong_prunes: int = 0
+    # Vertices placed by propagation, each the one block left to it; always
+    # 0 for arc partitions.
+    forced: int = 0
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,9 @@ def _require_strong(D: Digraph) -> None:
 
 
 def _stats(counter: SearchCounter, start: float) -> SolveStats:
-    return SolveStats(counter.nodes, time.perf_counter() - start, counter.strong_prunes)
+    return SolveStats(
+        counter.nodes, time.perf_counter() - start, counter.strong_prunes, counter.forced
+    )
 
 
 def search_cap(D: Digraph) -> int:

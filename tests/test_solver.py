@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import indomatic
 from indomatic import solver
 from indomatic._search import arc_partition_search, partition_search
 from indomatic.domination import is_in_domatic_partition
@@ -31,7 +36,7 @@ from indomatic import (
     upper_bound,
 )
 
-from .conftest import strong_digraphs
+from .conftest import digraphs, strong_digraphs
 
 
 def strong_in_domatic_partitions_by_size(D):
@@ -95,14 +100,23 @@ class TestExistsPartitionIntoK:
 
 
 class TestStrongInDomaticPartitions:
+    def check_every_k(self, D):
+        by_size = strong_in_domatic_partitions_by_size(D)
+        for k in range(1, D.vertex_count + 1):
+            assert list(strong_in_domatic_partitions(D, k)) == by_size[k]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_k_matches_unpruned_enumeration(self, n):
         for D in all_labeled_digraphs(n):
-            if not is_strong(D):
-                continue
-            by_size = strong_in_domatic_partitions_by_size(D)
-            for k in range(1, n + 1):
-                assert list(strong_in_domatic_partitions(D, k)) == by_size[k]
+            if is_strong(D):
+                self.check_every_k(D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strong_digraphs(min_n=5, max_n=7))
+    def test_every_k_matches_unpruned_enumeration_past_order_4(self, D):
+        # From order 5 on, all k blocks open with items left to place, and
+        # the search places some of them by force.
+        self.check_every_k(D)
 
     def test_non_strong_rejected(self):
         with pytest.raises(NotStrongError):
@@ -235,24 +249,37 @@ class TestInDomaticNumber:
         result = in_domatic_number(D)
         assert result.value == 1
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_search_matches_unpruned_enumeration(self, n):
+    def check_search(self, D, partitions):
         # Without strong masks the cover check is the search's only pruning.
-        partitions = [
+        n = D.vertex_count
+        for k in range(1, n + 1):
+            found = [
+                VertexPartition.from_blocks(blocks)
+                for blocks in partition_search(n, D.out_masks, k)
+            ]
+            assert found == [
+                P
+                for P in partitions
+                if P.block_count == k and is_in_domatic_partition(D, P)
+            ]
+
+    @staticmethod
+    def all_partitions(n):
+        return [
             VertexPartition.from_blocks(blocks)
             for blocks in solver._all_set_partitions(list(range(n)))
         ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_search_matches_unpruned_enumeration(self, n):
+        partitions = self.all_partitions(n)
         for D in all_labeled_digraphs(n):
-            for k in range(1, n + 1):
-                found = [
-                    VertexPartition.from_blocks(blocks)
-                    for blocks in partition_search(n, D.out_masks, k)
-                ]
-                assert found == [
-                    P
-                    for P in partitions
-                    if P.block_count == k and is_in_domatic_partition(D, P)
-                ]
+            self.check_search(D, partitions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs(min_n=5, max_n=7))
+    def test_search_matches_unpruned_enumeration_past_order_4(self, D):
+        self.check_search(D, self.all_partitions(D.vertex_count))
 
 
 class TestEnumerateMaxPartitions:
@@ -331,6 +358,37 @@ class TestSolveStats:
         D = pair_critical_family(4).digraph
         assert strong_in_domatic_number(D).stats.strong_prunes > 0
         assert in_domatic_number(D).stats.strong_prunes == 0
+
+    def test_forced_placements_counted(self, k3):
+        # Branching on every vertex, pair_critical_family(9) takes 96,464
+        # nodes; placing forced vertices once all blocks are open, 474.
+        result = strong_in_domatic_number(pair_critical_family(9).digraph)
+        assert result.value == 9
+        assert result.stats.nodes < 2_000
+        assert result.stats.forced > 0
+        assert in_domatic_number(pair_critical_family(4).digraph).stats.forced > 0
+        assert lambda_number(k3).stats.forced == 0
+
+    def test_witness_checks_survive_optimize_flag(self):
+        # The post-conditions must not be asserts, which python -O strips.
+        code = (
+            "from indomatic import complete_digraph, solver\n"
+            "solver.is_strong_in_domatic_partition = lambda D, P: False\n"
+            "try:\n"
+            "    solver.strong_in_domatic_number(complete_digraph(3))\n"
+            "except solver.WitnessCheckError:\n"
+            "    print('raised')\n"
+        )
+        src = str(Path(indomatic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout == "raised\n"
 
 
 class TestBruteForceOracle:
