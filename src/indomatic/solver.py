@@ -4,7 +4,7 @@ All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
 feasible), so the solver searches k = 1, 2, ... and stops at the first
 infeasible size.  The search assigns items in fixed order with
-block-opening symmetry breaking, places a vertex at once when all blocks
+block-opening symmetry breaking, places an item at once when all blocks
 are open and only one is left to it, and cuts a subtree as soon as some
 block can no longer become strong (for arc blocks: a strong cover); see
 ``_search``.  Every returned witness is checked against the public
@@ -48,8 +48,8 @@ class SolveStats:
     seconds: float
     # Subtrees cut because a block could no longer become strong.
     strong_prunes: int = 0
-    # Vertices placed by propagation, each the one block left to it; always
-    # 0 for arc partitions.
+    # Items (vertices, or arcs for lambda_number) placed by propagation,
+    # each the one block left to it.
     forced: int = 0
 
 

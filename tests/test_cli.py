@@ -54,6 +54,18 @@ class TestCompute:
         assert run("compute", "--in", path, "--what", "lambda") == 0
         assert capsys.readouterr().out.splitlines()[0] == "2"
 
+    def test_lambda_witness_bytes(self, workdir, capsys):
+        _, save = workdir
+        path = save("k5.dg", complete_digraph(5))
+        assert run("compute", "--in", path, "--what", "lambda") == 0
+        assert capsys.readouterr().out == (
+            "4\n"
+            "0,1 1,4 2,0 3,2 4,3\n"
+            "0,2 1,0 2,3 3,4 4,1\n"
+            "0,3 1,2 2,4 3,1 4,0\n"
+            "0,4 1,3 2,1 3,0 4,2\n"
+        )
+
     def test_kappa_gammacl_dc(self, workdir, capsys):
         _, save = workdir
         path = save("k4.dg", complete_digraph(4))

@@ -204,18 +204,35 @@ class TestLambdaNumber:
             assert result.stats.strong_prunes > 0
         if n == 6:
             # Proving that K6* has no Hamiltonian decomposition takes about
-            # 211k nodes when strongness is only checked at the leaves.
+            # 211k nodes when strongness is only checked at the leaves, and
+            # 2,148 with strong-cover pruning and forced arcs.
             assert result.stats.nodes < 50_000
 
+    @pytest.mark.parametrize(
+        "n, value, labels",
+        [
+            (4, 2, "001001010101"),
+            (5, 4, "01231230031232012130"),
+            (6, 4, "001230012301032123103022123130"),
+            (7, 6, "012345103254234501025413543120314502452013"),
+        ],
+    )
+    def test_complete_witnesses(self, n, value, labels):
+        # The canonical witnesses: the block of each arc, arcs in sorted order.
+        result = lambda_number(complete_digraph(n))
+        assert result.value == value
+        assert "".join(str(b) for _, b in result.witness.block_of) == labels
+
     def check_against_unpruned(self, D):
+        # Pruning and forced arcs keep every partition and their order.
         by_size = strong_cover_partitions_by_size(D)
         arcs = D.sorted_arcs()
         for k in range(1, len(arcs) + 1):
-            found = next(arc_partition_search(D.vertex_count, arcs, k), None)
-            if k in by_size:
-                assert ArcPartition.from_blocks(found) == by_size[k][0]
-            else:
-                assert found is None
+            found = [
+                ArcPartition.from_blocks(blocks)
+                for blocks in arc_partition_search(D.vertex_count, arcs, k)
+            ]
+            assert found == by_size.get(k, [])
         result = lambda_number(D)
         assert result.value == max(by_size)
         assert result.witness == by_size[result.value][0]
@@ -359,7 +376,7 @@ class TestSolveStats:
         assert strong_in_domatic_number(D).stats.strong_prunes > 0
         assert in_domatic_number(D).stats.strong_prunes == 0
 
-    def test_forced_placements_counted(self, k3):
+    def test_forced_placements_counted(self):
         # Branching on every vertex, pair_critical_family(9) takes 96,464
         # nodes; placing forced vertices once all blocks are open, 474.
         result = strong_in_domatic_number(pair_critical_family(9).digraph)
@@ -367,7 +384,21 @@ class TestSolveStats:
         assert result.stats.nodes < 2_000
         assert result.stats.forced > 0
         assert in_domatic_number(pair_critical_family(4).digraph).stats.forced > 0
-        assert lambda_number(k3).stats.forced == 0
+        # The arc search forces arcs too: proving that K6* has no Hamiltonian
+        # decomposition takes 9,064 nodes branching on every arc, 2,148 with
+        # forced arcs.
+        result = lambda_number(complete_digraph(6))
+        assert result.value == 4
+        assert result.stats.nodes < 4_000
+        assert result.stats.forced > 0
+
+    def test_barred_arcs_leave_the_strong_closure(self):
+        # An arc barred from a block cannot complete its strong cover, so the
+        # closure leaves it out: lambda(K7*) takes 187 nodes, and 343 with
+        # barred arcs left in.
+        result = lambda_number(complete_digraph(7))
+        assert result.value == 6
+        assert result.stats.nodes < 250
 
     def test_witness_checks_survive_optimize_flag(self):
         # The post-conditions must not be asserts, which python -O strips.
