@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .core import _reaches
+from .core import _strong_on
 
 
 class SearchCounter:
@@ -245,12 +245,8 @@ def partition_search(
 
         def viable(block: int, free: int) -> bool:
             # Two or more members lie in one strong component of D[block + free].
-            if not block & (block - 1):
-                return True
-            root = block & -block
-            allowed = block | free
-            return _reaches(root, out_masks, allowed, block) and _reaches(
-                root, in_masks, allowed, block
+            return not block & (block - 1) or _strong_on(
+                out_masks, in_masks, block | free, block
             )
 
     needs = [cover[x] | 1 << x for x in range(n)]
@@ -297,7 +293,7 @@ def arc_partition_search(
             out_masks[u] |= 1 << v
             in_masks[v] |= 1 << u
             allowed ^= low
-        return _reaches(1, out_masks, full, full) and _reaches(1, in_masks, full, full)
+        return _strong_on(out_masks, in_masks, full, full)
 
     for found in _search(len(arcs), outs + ins, k, viable, counter):
         yield tuple([arc for i, arc in enumerate(arcs) if block >> i & 1] for block in found)

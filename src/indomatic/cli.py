@@ -200,12 +200,24 @@ def _parse_params(pairs: Optional[List[str]]) -> dict:
     return params
 
 
+# The parameters of each family, in the order a missing one is reported.
+_FAMILY_PARAMS = {
+    "complete": ("n",),
+    "cycle": ("n",),
+    "empty": ("n",),
+    "pair-critical": ("n",),
+    "order-value": ("p", "m"),
+    "critical-composition": ("p", "n"),
+}
+
+
 def cmd_generate(args) -> int:
     params = _parse_params(args.params)
     family = args.family
-    partition = None
-    claimed_value = None
-    claimed_critical = None
+    for key in _FAMILY_PARAMS[family]:
+        if key not in params:
+            raise ParseError(f"family {family!r} needs parameter {key!r}")
+    partition = claimed_value = claimed_critical = None
     try:
         if family == "complete":
             D = families.complete_digraph(params["n"])
@@ -221,22 +233,14 @@ def cmd_generate(args) -> int:
                 claimed_value = 1
         elif family == "empty":
             D = families.empty_digraph(params["n"])
-        elif family == "pair-critical":
-            inst = families.pair_critical_family(params["n"])
+        else:
+            inst = {
+                "pair-critical": families.pair_critical_family,
+                "order-value": families.order_value_family,
+                "critical-composition": families.critical_composition_family,
+            }[family](*(params[key] for key in _FAMILY_PARAMS[family]))
             D, partition = inst.digraph, inst.canonical_partition
             claimed_value, claimed_critical = inst.claimed_value, inst.claimed_critical
-        elif family == "order-value":
-            inst = families.order_value_family(params["p"], params["m"])
-            D, partition = inst.digraph, inst.canonical_partition
-            claimed_value, claimed_critical = inst.claimed_value, inst.claimed_critical
-        elif family == "critical-composition":
-            inst = families.critical_composition_family(params["p"], params["n"])
-            D, partition = inst.digraph, inst.canonical_partition
-            claimed_value, claimed_critical = inst.claimed_value, inst.claimed_critical
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown family {family!r}")
-    except KeyError as exc:
-        raise ParseError(f"family {family!r} needs parameter {exc.args[0]!r}")
     except ValueError as exc:
         raise Inapplicable(str(exc))
     _write_text(args.out, fileio.write_digraph(D))
@@ -381,18 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("generate", help="generate a named digraph family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "complete",
-            "cycle",
-            "empty",
-            "pair-critical",
-            "order-value",
-            "critical-composition",
-        ],
-    )
+    p.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
     p.add_argument("--params", nargs="*", metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
@@ -428,16 +421,11 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # NotStrongError is a ValueError, and so is ParseError: order matters.
     except (NotStrongError, Inapplicable) as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -96,8 +96,9 @@ def _members(mask: int) -> frozenset:
 
 
 def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
-    """Every member of ``block`` is reachable from the single-bit mask
-    ``root`` along ``masks`` without leaving ``allowed``."""
+    """Every member of ``block`` is reachable from some vertex of the mask
+    ``root``, which may hold several, along ``masks`` without leaving
+    ``allowed``."""
     seen = frontier = root
     while frontier and block & ~seen:
         step = 0
@@ -110,20 +111,32 @@ def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
     return not block & ~seen
 
 
+def _strong_on(
+    out_masks: Sequence[int], in_masks: Sequence[int], allowed: int, block: int
+) -> bool:
+    """Inside ``allowed``, the least member of the nonempty mask ``block``
+    reaches every member of ``block`` and is reached by each.  With
+    ``allowed == block`` that says the subdigraph induced by ``block`` is
+    strong; the one place a forward and a backward closure are paired."""
+    root = block & -block
+    return _reaches(root, out_masks, allowed, block) and _reaches(root, in_masks, allowed, block)
+
+
 def _check_vertex(D, v: int) -> None:
     if not (0 <= v < D.vertex_count):
         raise ValueError(f"vertex {v} outside [0,{D.vertex_count})")
 
 
-def _require_subset(D, S) -> frozenset:
-    """S as a frozenset, checked nonempty and inside the vertex range of
+def _require_subset(D, S) -> int:
+    """The bitmask of S, checked nonempty and inside the vertex range of
     the digraph or undirected graph D."""
-    S = frozenset(S)
-    if not S:
-        raise ValueError("set must be nonempty")
+    members = 0
     for v in S:
         _check_vertex(D, v)
-    return S
+        members |= 1 << v
+    if not members:
+        raise ValueError("set must be nonempty")
+    return members
 
 
 def out_neighbors(D: Digraph, v: int) -> frozenset:
@@ -193,33 +206,29 @@ def is_strong(D: Digraph) -> bool:
     The single-vertex digraph counts as strong, so singleton induced
     subdigraphs behave correctly inside partition checks.
     """
-    return is_strong_subset(D, range(D.vertex_count))
+    if not D.vertex_count:
+        raise ValueError("strong connectivity is undefined for the empty digraph")
+    full = (1 << D.vertex_count) - 1
+    return _strong_on(D.out_masks, D.in_masks, full, full)
 
 
 def is_strong_subset(D: Digraph, S) -> bool:
     """The subdigraph induced by the nonempty vertex set S is strong."""
-    vertices = 0
-    for v in S:
-        _check_vertex(D, v)
-        vertices |= 1 << v
-    if not vertices:
-        raise ValueError("strong connectivity is undefined for the empty digraph")
-    root = vertices & -vertices
-    return _reaches(root, D.out_masks, vertices, vertices) and _reaches(
-        root, D.in_masks, vertices, vertices
-    )
+    members = _require_subset(D, S)
+    return _strong_on(D.out_masks, D.in_masks, members, members)
 
 
 def stays_strong_without(D: Digraph, arc: Arc) -> bool:
     """For a strong ``D``: ``D`` minus ``arc`` is still strong.  That holds
     exactly when the head of (u, v) stays reachable from its tail, since a
-    walk through the arc can take that detour instead."""
+    walk through the arc can take that detour instead; a shortest such
+    walk leaves u by another arc and never comes back to u."""
     u, v = arc
     if (u, v) not in D.arcs:
         raise ValueError(f"({u},{v}) is not an arc of the digraph")
-    masks = list(D.out_masks)
-    masks[u] &= ~(1 << v)
-    return _reaches(1 << u, masks, (1 << D.vertex_count) - 1, 1 << v)
+    masks = D.out_masks
+    allowed = ((1 << D.vertex_count) - 1) & ~(1 << u)
+    return _reaches(masks[u] & ~(1 << v), masks, allowed, 1 << v)
 
 
 def is_semicomplete(D: Digraph) -> bool:

@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
-    _reaches,
+    _require_subset,
+    _strong_on,
     delete_arc,
     is_strong,
     stays_strong_without,
@@ -159,17 +160,14 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
     Returns (ok, reason) for diagnostics.
     """
     for i, block in enumerate(P.blocks()):
-        members = sum(1 << v for v in block)
-        root = members & -members
+        members = _require_subset(D, block)
         for u, v in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
             # D[block] minus (u, v): the arc's bit cleared in copies of
-            # both mask tuples, then a forward and a backward closure.
+            # both mask tuples, then the strongness closure.
             out_masks, in_masks = list(D.out_masks), list(D.in_masks)
             out_masks[u] &= ~(1 << v)
             in_masks[v] &= ~(1 << u)
-            if _reaches(root, out_masks, members, members) and _reaches(
-                root, in_masks, members, members
-            ):
+            if _strong_on(out_masks, in_masks, members, members):
                 return False, (
                     f"block {i} stays strong after deleting internal arc {(u, v)}"
                 )

@@ -125,8 +125,7 @@ class PartitionDiagnosis:
 
 def is_in_dominating(D: Digraph, S) -> bool:
     """Every vertex outside S has an out-neighbor inside S."""
-    S = _require_subset(D, S)
-    members = sum(1 << v for v in S)
+    members = _require_subset(D, S)
     return all(
         mask & members for x, mask in enumerate(D.out_masks) if not members >> x & 1
     )

@@ -110,7 +110,8 @@ def order_value_family(p: int, m: int) -> FamilyInstance:
 def critical_composition_family(p: int, n: int) -> FamilyInstance:
     """Critical digraph of order p with strong in-domatic number n, for
     any divisor n >= 2 of p: the complete digraph when p = n, otherwise
-    arcless parts of order n over a cycle of order p/n.
+    arcless parts of order n over a cycle of order p/n, which is
+    ``order_value_family(p, n)``.
 
     The complete digraph of order 2 is the lone degenerate case: deleting
     either arc destroys strongness, so it is not critical.
@@ -123,10 +124,7 @@ def critical_composition_family(p: int, n: int) -> FamilyInstance:
         digraph = complete_digraph(p)
         partition = VertexPartition.from_blocks([[v] for v in range(p)])
         return FamilyInstance(digraph, partition, n, p >= 3)
-    t = p // n
-    spec = CompositionSpec.of(directed_cycle(t), [empty_digraph(n) for _ in range(t)])
-    digraph, _ = composition(spec)
-    return FamilyInstance(digraph, composition_partition(spec), n, True)
+    return order_value_family(p, n)
 
 
 # ---------------------------------------------------------------------------

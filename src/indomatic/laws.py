@@ -16,12 +16,12 @@ from typing import Dict, List, Optional
 from .core import (
     Digraph,
     NotStrongError,
+    _strong_on,
     converse,
     delete_arc,
     is_complete,
     is_semicomplete,
     is_strong,
-    is_strong_subset,
     min_out_degree,
     stays_strong_without,
 )
@@ -164,7 +164,7 @@ def _is_symmetric_path(D: Digraph, block) -> bool:
     return (
         sum(degrees) == 2 * (len(degrees) - 1)
         and max(degrees) <= 2
-        and is_strong_subset(D, block)
+        and _strong_on(D.out_masks, D.in_masks, members, members)
     )
 
 

@@ -77,10 +77,6 @@ def _connected_on(masks, vertices: int) -> bool:
     return _reaches(vertices & -vertices, masks, vertices, vertices)
 
 
-def _vertex_mask(S) -> int:
-    return sum(1 << v for v in S)
-
-
 def is_connected(G: UGraph) -> bool:
     if G.vertex_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
@@ -89,21 +85,22 @@ def is_connected(G: UGraph) -> bool:
 
 def is_connected_subset(G: UGraph, S) -> bool:
     """The subgraph induced by S is connected."""
-    return _connected_on(G.masks, _vertex_mask(_require_subset(G, S)))
+    return _connected_on(G.masks, _require_subset(G, S))
 
 
 def is_dominating_set(G: UGraph, S) -> bool:
     """Every vertex outside S has a neighbor in S."""
-    members = _vertex_mask(_require_subset(G, S))
+    members = _require_subset(G, S)
     return all(
         mask & members for x, mask in enumerate(G.masks) if not members >> x & 1
     )
 
 
 def is_clique(G: UGraph, S) -> bool:
-    S = _require_subset(G, S)
+    """Every two members of S are adjacent."""
+    members = _require_subset(G, S)
     return all(
-        (min(u, v), max(u, v)) in G.edges for u, v in combinations(sorted(S), 2)
+        not members & ~(mask | 1 << v) for v, mask in enumerate(G.masks) if members >> v & 1
     )
 
 
@@ -116,9 +113,10 @@ def vertex_connectivity(G: UGraph) -> int:
     if not is_connected(G):
         raise ValueError("vertex connectivity is defined for connected graphs")
     full = (1 << n) - 1
+    bits = [1 << v for v in range(n)]
     for size in range(0, n - 1):
-        for cut in combinations(range(n), size):
-            if not _connected_on(G.masks, full & ~_vertex_mask(cut)):
+        for cut in combinations(bits, size):
+            if not _connected_on(G.masks, full - sum(cut)):
                 return size
     return n - 1
 
@@ -155,7 +153,6 @@ def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:
         raise ValueError("empty graph")
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
-            S = frozenset(S)
             if is_clique(G, S) and is_dominating_set(G, S):
                 return size
     return NO_DOMINATING_CLIQUE

@@ -91,6 +91,30 @@ class TestCompute:
     def test_missing_file(self):
         assert run("compute", "--in", "/nonexistent.dg", "--what", "dsminus") == 2
 
+    @pytest.mark.parametrize(
+        "text,code,err",
+        [
+            ("garbage\n", 2, "input error: line 1: expected 'n <vertex_count>', got 'garbage'\n"),
+            (None, 2, "input error: [Errno 2] No such file or directory: {path!r}\n"),
+            (
+                "n 3\n0 1\n1 2\n",
+                3,
+                "not applicable: no strong in-domatic partition exists: "
+                "a digraph has one if and only if it is strong\n",
+            ),
+            ("n 0\n", 2, "input error: strong connectivity is undefined for the empty digraph\n"),
+        ],
+        ids=["malformed", "missing", "not-strong", "empty"],
+    )
+    def test_error_bytes(self, tmp_path, capsys, text, code, err):
+        path = tmp_path / "in.dg"
+        if text is not None:
+            path.write_text(text)
+        assert run("compute", "--in", str(path), "--what", "dsminus") == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err.format(path=str(path))
+
 
 class TestVerify:
     def test_valid_singletons(self, workdir, capsys):
@@ -210,6 +234,83 @@ class TestGenerate:
 
     def test_missing_param(self, tmp_path):
         assert run("generate", "--family", "complete", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
+            ("complete", [], "input error: family 'complete' needs parameter 'n'\n"),
+            ("order-value", ["m=2"], "input error: family 'order-value' needs parameter 'p'\n"),
+            ("order-value", ["p=5"], "input error: family 'order-value' needs parameter 'm'\n"),
+            ("critical-composition", ["p=4", "n=3"], "not applicable: requires n to divide p\n"),
+        ],
+    )
+    def test_param_error_bytes(self, tmp_path, capsys, family, params, err):
+        out = tmp_path / "x.dg"
+        code = 2 if err.startswith("input") else 3
+        assert run("generate", "--family", family, "--params", *params, "--out", str(out)) == code
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family,params,digraph,partition,claims",
+        [
+            (
+                "complete", ["n=3"], "n 3\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n", "0\n1\n2\n",
+                '{"claimed_critical": null, "claimed_value": 3, "family": "complete", '
+                '"params": {"n": 3}}\n',
+            ),
+            (
+                "cycle", ["n=2"], "n 2\n0 1\n1 0\n", "0\n1\n",
+                '{"claimed_critical": null, "claimed_value": 2, "family": "cycle", '
+                '"params": {"n": 2}}\n',
+            ),
+            (
+                "cycle", ["n=4"], "n 4\n0 1\n1 2\n2 3\n3 0\n", "0 1 2 3\n",
+                '{"claimed_critical": null, "claimed_value": 1, "family": "cycle", '
+                '"params": {"n": 4}}\n',
+            ),
+            (
+                "empty", ["n=3"], "n 3\n", None,
+                '{"claimed_critical": null, "claimed_value": null, "family": "empty", '
+                '"params": {"n": 3}}\n',
+            ),
+            (
+                "pair-critical", ["n=3"],
+                "n 6\n0 1\n0 2\n0 3\n1 2\n1 3\n1 4\n2 3\n2 4\n2 5\n"
+                "3 0\n3 4\n3 5\n4 0\n4 1\n4 5\n5 0\n5 1\n5 2\n",
+                "0 3\n1 4\n2 5\n",
+                '{"claimed_critical": true, "claimed_value": 3, "family": "pair-critical", '
+                '"params": {"n": 3}}\n',
+            ),
+            (
+                "order-value", ["p=5", "m=2"],
+                "n 5\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 0\n2 1\n3 0\n3 1\n4 0\n4 1\n",
+                "0 2\n1 3 4\n",
+                '{"claimed_critical": null, "claimed_value": 2, "family": "order-value", '
+                '"params": {"m": 2, "p": 5}}\n',
+            ),
+            (
+                "critical-composition", ["p=4", "n=2"],
+                "n 4\n0 2\n0 3\n1 2\n1 3\n2 0\n2 1\n3 0\n3 1\n", "0 2\n1 3\n",
+                '{"claimed_critical": true, "claimed_value": 2, "family": "critical-composition", '
+                '"params": {"n": 2, "p": 4}}\n',
+            ),
+            (
+                "critical-composition", ["p=3", "n=3"],
+                "n 3\n0 1\n0 2\n1 0\n1 2\n2 0\n2 1\n", "0\n1\n2\n",
+                '{"claimed_critical": true, "claimed_value": 3, "family": "critical-composition", '
+                '"params": {"n": 3, "p": 3}}\n',
+            ),
+        ],
+    )
+    def test_output_bytes(self, tmp_path, capsys, family, params, digraph, partition, claims):
+        out = tmp_path / "g.dg"
+        assert run("generate", "--family", family, "--params", *params, "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == digraph
+        part = tmp_path / "g.dg.partition"
+        assert (part.read_text() if part.exists() else None) == partition
+        assert (tmp_path / "g.dg.claims.json").read_text() == claims
 
 
 class TestCriticalCommand:

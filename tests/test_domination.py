@@ -64,6 +64,11 @@ class TestInDominating:
         with pytest.raises(ValueError):
             is_in_dominating(k3, set())
 
+    @pytest.mark.parametrize("S", [{0, 3}, {-1}])
+    def test_outside_vertex_rejected(self, k3, S):
+        with pytest.raises(ValueError, match="outside"):
+            is_in_dominating(k3, S)
+
 
 class TestStrongInDominating:
     def test_complete_singleton(self, k3):

@@ -1,8 +1,12 @@
 import pytest
 
 from indomatic import (
+    CompositionSpec,
+    FamilyInstance,
     all_labeled_digraphs,
     complete_digraph,
+    composition,
+    composition_partition,
     critical_composition_family,
     directed_cycle,
     empty_digraph,
@@ -118,6 +122,22 @@ class TestCriticalCompositionFamily:
         assert inst.claimed_critical is True
         assert is_strong_in_domatic_critical(inst.digraph)
         assert is_strong_in_domatic_partition(inst.digraph, inst.canonical_partition)
+
+    def test_equals_order_value_family_off_the_complete_case(self):
+        # Built here as the composition the family describes: arcless parts
+        # of order n over the cycle of order p/n.
+        for p in range(4, 25):
+            for n in range(2, p // 2 + 1):
+                if p % n:
+                    continue
+                spec = CompositionSpec.of(
+                    directed_cycle(p // n), [empty_digraph(n)] * (p // n)
+                )
+                expected = FamilyInstance(
+                    composition(spec)[0], composition_partition(spec), n, True
+                )
+                assert critical_composition_family(p, n) == expected
+                assert order_value_family(p, n) == expected
 
     def test_complete_case(self):
         inst = critical_composition_family(4, 4)

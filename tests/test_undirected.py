@@ -234,6 +234,26 @@ class TestSetPredicates:
         with pytest.raises(ValueError):
             is_dominating_set(path_graph(2), set())
 
+    @pytest.mark.parametrize("predicate", [is_clique, is_connected_subset, is_dominating_set])
+    @pytest.mark.parametrize("S", [{0, 3}, {-1}])
+    def test_outside_vertex_rejected(self, predicate, S):
+        with pytest.raises(ValueError, match="outside"):
+            predicate(path_graph(3), S)
+
+    def test_clique_matches_pairwise_adjacency(self):
+        # Every subset of every labeled graph of order at most five.
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                G = make_ugraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                for size in range(1, n + 1):
+                    for S in combinations(range(n), size):
+                        expected = all(e in G.edges for e in combinations(S, 2))
+                        assert is_clique(G, S) == expected
+                        checked += 1
+        assert checked == 1 + 2 * 3 + 8 * 7 + 64 * 15 + 1024 * 31
+
 
 def test_planar_digraph_examples():
     assert is_planar(underlying_graph(complete_digraph(4)))
