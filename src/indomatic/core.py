@@ -122,6 +122,12 @@ def _strong_on(
     return _reaches(root, out_masks, allowed, block) and _reaches(root, in_masks, allowed, block)
 
 
+def _dominates(masks: Sequence[int], members: int) -> bool:
+    """Every vertex outside the mask ``members`` has a neighbor in it along
+    ``masks``: in-domination on out-masks, domination on undirected ones."""
+    return all(mask & members for x, mask in enumerate(masks) if not members >> x & 1)
+
+
 def _check_vertex(D, v: int) -> None:
     if not (0 <= v < D.vertex_count):
         raise ValueError(f"vertex {v} outside [0,{D.vertex_count})")

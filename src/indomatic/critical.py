@@ -17,13 +17,13 @@ from typing import Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
-    _require_subset,
+    _reaches,
     _strong_on,
     delete_arc,
     is_strong,
     stays_strong_without,
 )
-from .domination import VertexPartition, is_strong_in_domatic_partition
+from .domination import VertexPartition, _block_masks, _diagnose
 from .solver import (
     WitnessCheckError,
     _check_witness,
@@ -91,35 +91,32 @@ def deletion_profile(D: Digraph) -> DeletionProfile:
     3. k = value is decided for H when ``search_cap(H)`` allows it; the
        value is k when a partition exists and one less otherwise.
 
-    Every shortcut is certified by the public predicate.  A missing
+    Every shortcut is certified by the predicate's block-mask check.  A missing
     merge, a cap below the merge's bound or a search result that fails
     the predicate raises ``WitnessCheckError``.
     """
     if not is_strong(D):
         raise NotStrongError("deletion profiles are defined for strong digraphs")
-    witness = strong_in_domatic_number(D).witness
+    witness = _block_masks(D, strong_in_domatic_number(D).witness)
     records = []
     for arc in D.sorted_arcs():
         strong = stays_strong_without(D, arc)
         after = _value_after(delete_arc(D, arc), witness, arc[1]) if strong else None
         records.append(ArcDeletionRecord(arc, strong, after))
-    return DeletionProfile(witness.block_count, tuple(records))
+    return DeletionProfile(len(witness), tuple(records))
 
 
-def _value_after(H: Digraph, witness: VertexPartition, v: int) -> int:
-    """Strong in-domatic number of the strong digraph H, the deletion of
-    an arc (u, v) from the digraph whose canonical witness is ``witness``."""
-    value = witness.block_count
-    if is_strong_in_domatic_partition(H, witness):
+def _value_after(H: Digraph, witness: list, v: int) -> int:
+    """Strong in-domatic number of the strong digraph H, the deletion of an
+    arc (u, v) from a digraph whose canonical witness has block masks ``witness``."""
+    value = len(witness)
+    if _diagnose(H.out_masks, H.in_masks, witness):
         return value
-    blocks = witness.blocks()
-    b = blocks[witness.block_of[v]]
+    b = next(block for block in witness if block >> v & 1)
     merges = (
-        VertexPartition.from_blocks([b | c] + [x for x in blocks if x not in (b, c)])
-        for c in blocks
-        if c != b
+        [b | c] + [x for x in witness if x not in (b, c)] for c in witness if c != b
     )
-    if not any(is_strong_in_domatic_partition(H, P) for P in merges):
+    if not any(_diagnose(H.out_masks, H.in_masks, blocks) for blocks in merges):
         raise WitnessCheckError("no merge of two witness blocks survives the deletion")
     cap = search_cap(H)
     if cap < value - 1:
@@ -128,7 +125,8 @@ def _value_after(H: Digraph, witness: VertexPartition, v: int) -> int:
     if found is None:
         return value - 1
     _check_witness(
-        is_strong_in_domatic_partition(H, found), "strong in-domatic partition"
+        _diagnose(H.out_masks, H.in_masks, _block_masks(H, found)).ok,
+        "strong in-domatic partition",
     )
     return value
 
@@ -159,22 +157,23 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
 
     Returns (ok, reason) for diagnostics.
     """
-    for i, block in enumerate(P.blocks()):
-        members = _require_subset(D, block)
-        for u, v in sorted(a for a in D.arcs if a[0] in block and a[1] in block):
-            # D[block] minus (u, v): the arc's bit cleared in copies of
-            # both mask tuples, then the strongness closure.
-            out_masks, in_masks = list(D.out_masks), list(D.in_masks)
-            out_masks[u] &= ~(1 << v)
-            in_masks[v] &= ~(1 << u)
-            if _strong_on(out_masks, in_masks, members, members):
-                return False, (
-                    f"block {i} stays strong after deleting internal arc {(u, v)}"
-                )
+    masks = D.out_masks
+    arcs = D.sorted_arcs()
+    for i, block in enumerate(_block_masks(D, P)):
+        # A block that is not strong stays so under every deletion; in a
+        # strong one each deletion is one closure, as in ``stays_strong_without``.
+        if _strong_on(masks, D.in_masks, block, block):
+            for u, v in arcs:
+                if block >> u & 1 and block >> v & 1 and _reaches(
+                    masks[u] & block & ~(1 << v), masks, block & ~(1 << u), 1 << v
+                ):
+                    return False, (
+                        f"block {i} stays strong after deleting internal arc {(u, v)}"
+                    )
         for x in range(D.vertex_count):
-            if x in block:
+            if block >> x & 1:
                 continue
-            hits = (D.out_masks[x] & members).bit_count()
+            hits = (masks[x] & block).bit_count()
             if hits != 1:
                 return False, (
                     f"vertex {x} has {hits} out-neighbors in block {i}, expected 1"

@@ -14,10 +14,10 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
+    _dominates,
     _require_subset,
-    converse,
+    _strong_on,
     is_strong,
-    is_strong_subset,
 )
 
 
@@ -125,10 +125,7 @@ class PartitionDiagnosis:
 
 def is_in_dominating(D: Digraph, S) -> bool:
     """Every vertex outside S has an out-neighbor inside S."""
-    members = _require_subset(D, S)
-    return all(
-        mask & members for x, mask in enumerate(D.out_masks) if not members >> x & 1
-    )
+    return _dominates(D.out_masks, _require_subset(D, S))
 
 
 def is_strong_in_dominating(D: Digraph, S) -> bool:
@@ -136,26 +133,37 @@ def is_strong_in_dominating(D: Digraph, S) -> bool:
 
     Singletons induce the one-vertex digraph, which is strong.
     """
-    return is_in_dominating(D, S) and is_strong_subset(D, S)
+    return _diagnose(D.out_masks, D.in_masks, [_require_subset(D, S)]).ok
 
 
-def _validate_vertex_partition(D: Digraph, P: VertexPartition) -> None:
+def _block_masks(D: Digraph, P: VertexPartition) -> list:
+    """The bitmask of each block of P, in block order, from one pass over
+    ``block_of``; P must cover exactly the vertices of D."""
     if len(P.block_of) != D.vertex_count:
         raise ValueError(
             f"partition covers {len(P.block_of)} vertices, digraph has {D.vertex_count}"
         )
+    blocks = [0] * P.block_count
+    for v, b in enumerate(P.block_of):
+        blocks[b] |= 1 << v
+    return blocks
+
+
+def _diagnose(out_masks, in_masks, blocks) -> PartitionDiagnosis:
+    """The first of the nonempty vertex masks ``blocks`` that is not
+    in-dominating along ``out_masks`` or not strong, and which it fails."""
+    for i, block in enumerate(blocks):
+        if not _dominates(out_masks, block):
+            return PartitionDiagnosis(False, i, "not in-dominating")
+        if not _strong_on(out_masks, in_masks, block, block):
+            return PartitionDiagnosis(False, i, "induced subdigraph not strong")
+    return PartitionDiagnosis(True)
 
 
 def check_strong_in_domatic_partition(D: Digraph, P: VertexPartition) -> PartitionDiagnosis:
     """Per-block diagnosis: the first failing block and whether it fails
     in-domination or strongness."""
-    _validate_vertex_partition(D, P)
-    for i, block in enumerate(P.blocks()):
-        if not is_in_dominating(D, block):
-            return PartitionDiagnosis(False, i, "not in-dominating")
-        if not is_strong_subset(D, block):
-            return PartitionDiagnosis(False, i, "induced subdigraph not strong")
-    return PartitionDiagnosis(True)
+    return _diagnose(D.out_masks, D.in_masks, _block_masks(D, P))
 
 
 def is_strong_in_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
@@ -163,8 +171,9 @@ def is_strong_in_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
 
 
 def check_strong_out_domatic_partition(D: Digraph, P: VertexPartition) -> PartitionDiagnosis:
-    """Out-domination dual: evaluated on the converse digraph."""
-    return check_strong_in_domatic_partition(converse(D), P)
+    """Out-domination dual: the in-domatic check on the converse, whose
+    out-masks are D's in-masks; induced strongness ignores direction."""
+    return _diagnose(D.in_masks, D.out_masks, _block_masks(D, P))
 
 
 def is_strong_out_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
@@ -173,8 +182,7 @@ def is_strong_out_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
 
 def is_in_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
     """Every block in-dominating; induced strongness not required."""
-    _validate_vertex_partition(D, P)
-    return all(is_in_dominating(D, block) for block in P.blocks())
+    return all(_dominates(D.out_masks, block) for block in _block_masks(D, P))
 
 
 def in_dominating_vertices(D: Digraph) -> frozenset:
@@ -205,7 +213,7 @@ def is_strong_cover_partition(D: Digraph, Q: ArcPartition) -> bool:
     """Every block of the arc partition is a strong cover."""
     if not is_strong(D):
         raise NotStrongError("strong covers are defined only for strong digraphs")
-    assignment = Q.mapping()
-    if set(assignment) != set(D.arcs):
+    if set(Q.mapping()) != set(D.arcs):
         raise ValueError("arc partition must cover exactly the digraph's arcs")
-    return all(is_strong_cover(D, block) for block in Q.blocks())
+    # Each block is a nonempty set of D's arcs: ``is_strong_cover`` is its last line.
+    return all(is_strong(Digraph(D.vertex_count, block)) for block in Q.blocks())

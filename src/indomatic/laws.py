@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from .core import (
     Digraph,
     NotStrongError,
+    _members,
     _strong_on,
     converse,
     delete_arc,
@@ -27,9 +28,10 @@ from .core import (
 )
 from .domination import (
     VertexPartition,
+    _block_masks,
+    _diagnose,
     in_dominating_vertices,
     is_in_dominating,
-    is_strong_in_dominating,
     is_strong_in_domatic_partition,
 )
 from .families import complete_digraph
@@ -153,18 +155,17 @@ def upper_bound(D: Digraph) -> int:
     return bound
 
 
-def _is_symmetric_path(D: Digraph, block) -> bool:
-    """The block induces a digraph whose underlying graph is a path and
-    whose every arc is symmetric; singletons qualify as trivial paths."""
-    members = sum(1 << v for v in block)
-    inside = [D.out_masks[v] & members for v in block]
-    if any(D.in_masks[v] & members != mask for v, mask in zip(block, inside)):
+def _is_symmetric_path(D: Digraph, block: int) -> bool:
+    """The block mask induces a digraph whose underlying graph is a path
+    and whose every arc is symmetric; singletons qualify as trivial paths."""
+    inside = {v: D.out_masks[v] & block for v in _members(block)}
+    if any(D.in_masks[v] & block != mask for v, mask in inside.items()):
         return False
-    degrees = [mask.bit_count() for mask in inside]
+    degrees = [mask.bit_count() for mask in inside.values()]
     return (
         sum(degrees) == 2 * (len(degrees) - 1)
         and max(degrees) <= 2
-        and _strong_on(D.out_masks, D.in_masks, members, members)
+        and _strong_on(D.out_masks, D.in_masks, block, block)
     )
 
 
@@ -240,27 +241,22 @@ def check_all(
     ok = value >= 1 and is_strong_in_domatic_partition(D, witness)
     entry("L1", HOLDS if ok else VIOLATED, value=value)
 
-    # L2: union and merge closure over the solver witness.
-    blocks = witness.blocks()
-    ok = True
-    bad = None
-    for size in range(1, len(blocks) + 1):
-        for chosen in combinations(range(len(blocks)), size):
-            union = frozenset().union(*(blocks[i] for i in chosen))
-            if not is_strong_in_dominating(D, union):
-                ok, bad = False, ("union", chosen)
-                break
-            if 1 < size < len(blocks):
-                merged = [b for i, b in enumerate(blocks) if i not in chosen]
-                merged.append(union)
-                if not is_strong_in_domatic_partition(
-                    D, VertexPartition.from_blocks(merged)
-                ):
-                    ok, bad = False, ("merge", chosen)
-                    break
-        if not ok:
-            break
-    entry("L2", HOLDS if ok else VIOLATED, blocks=len(blocks), failure=bad)
+    # L2: union and merge closure over the witness's disjoint block masks.
+    blocks = _block_masks(D, witness)
+
+    def closure_failure():
+        for size in range(1, len(blocks) + 1):
+            for chosen in combinations(range(len(blocks)), size):
+                union = sum(blocks[i] for i in chosen)
+                if not _diagnose(D.out_masks, D.in_masks, [union]):
+                    return "union", chosen
+                merged = [b for i, b in enumerate(blocks) if i not in chosen] + [union]
+                if 1 < size < len(blocks) and not _diagnose(D.out_masks, D.in_masks, merged):
+                    return "merge", chosen
+        return None
+
+    bad = closure_failure()
+    entry("L2", HOLDS if bad is None else VIOLATED, blocks=len(blocks), failure=bad)
 
     # L3: vertex-connectivity cap off the semicomplete case.
     if is_semicomplete(D):
@@ -369,9 +365,9 @@ def check_all(
     else:
         bad = next(
             (
-                {"block": sorted(block)}
+                {"block": sorted(_members(block))}
                 for P in strong_in_domatic_partitions(D, value)
-                for block in P.blocks()
+                for block in _block_masks(D, P)
                 if not _is_symmetric_path(D, block)
             ),
             None,

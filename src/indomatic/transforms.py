@@ -208,11 +208,14 @@ def composition_partition(spec: CompositionSpec) -> VertexPartition:
     return VertexPartition(tuple(block_of), n)
 
 
-def _check_line_partition(P: VertexPartition, D: Digraph) -> Digraph:
-    L, _ = line_digraph(D)
-    if not is_strong_in_domatic_partition(L, P):
+def _check_lift(P: VertexPartition, D: Digraph, construction: str) -> None:
+    """The preconditions shared by the lifts onto a construction on D."""
+    if D.vertex_count < 3:
+        raise ValueError(f"{construction} lift needs order at least three")
+    if not is_strong(D):
+        raise NotStrongError("base digraph must be strong")
+    if not is_strong_in_domatic_partition(line_digraph(D)[0], P):
         raise ValueError("input partition is not strong in-domatic on the line digraph")
-    return L
 
 
 def lift_middle_partition(P: VertexPartition, D: Digraph) -> VertexPartition:
@@ -222,24 +225,13 @@ def lift_middle_partition(P: VertexPartition, D: Digraph) -> VertexPartition:
     Requires order at least three; at order two the line digraph can have
     a block that is not a strong cover, and the lift breaks down.
     """
-    if D.vertex_count < 3:
-        raise ValueError("middle-digraph lift needs order at least three")
-    if not is_strong(D):
-        raise NotStrongError("base digraph must be strong")
-    _check_line_partition(P, D)
-    n = D.vertex_count
-    block_of = [0] * n + [P.block_of[i] for i in range(len(P.block_of))]
-    return VertexPartition(tuple(block_of), P.block_count)
+    _check_lift(P, D, "middle-digraph")
+    return VertexPartition((0,) * D.vertex_count + tuple(P.block_of), P.block_count)
 
 
 def lift_total_partition(P: VertexPartition, D: Digraph) -> VertexPartition:
     """Carry a strong in-domatic partition of the line digraph onto the
     total digraph: the original vertices become one extra block."""
-    if D.vertex_count < 3:
-        raise ValueError("total-digraph lift needs order at least three")
-    if not is_strong(D):
-        raise NotStrongError("base digraph must be strong")
-    _check_line_partition(P, D)
-    n = D.vertex_count
-    block_of = [0] * n + [P.block_of[i] + 1 for i in range(len(P.block_of))]
-    return VertexPartition(tuple(block_of), P.block_count + 1)
+    _check_lift(P, D, "total-digraph")
+    block_of = (0,) * D.vertex_count + tuple(b + 1 for b in P.block_of)
+    return VertexPartition(block_of, P.block_count + 1)

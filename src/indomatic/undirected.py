@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Iterable, Tuple, Union
 
 from ._search import largest_partition, partition_search
-from .core import Digraph, _masks, _reaches, _require_subset
+from .core import Digraph, _dominates, _masks, _reaches, _require_subset
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,7 @@ def is_connected_subset(G: UGraph, S) -> bool:
 
 def is_dominating_set(G: UGraph, S) -> bool:
     """Every vertex outside S has a neighbor in S."""
-    members = _require_subset(G, S)
-    return all(
-        mask & members for x, mask in enumerate(G.masks) if not members >> x & 1
-    )
+    return _dominates(G.masks, _require_subset(G, S))
 
 
 def is_clique(G: UGraph, S) -> bool:

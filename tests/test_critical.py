@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
+    PartitionDiagnosis,
     VertexPartition,
     WitnessCheckError,
     all_labeled_digraphs,
@@ -157,7 +158,9 @@ class TestProfileFromWitness:
             deletion_profile(complete_digraph(4))
 
     def test_missing_merge_raises(self, monkeypatch):
-        monkeypatch.setattr(critical, "is_strong_in_domatic_partition", lambda H, P: False)
+        # Every partition check on block masks fails, the merges included.
+        failing = PartitionDiagnosis(False, 0, "planted")
+        monkeypatch.setattr(critical, "_diagnose", lambda out_masks, in_masks, blocks: failing)
         with pytest.raises(WitnessCheckError):
             deletion_profile(complete_digraph(3))
 

@@ -9,6 +9,8 @@ from indomatic import (
     VertexPartition,
     all_labeled_digraphs,
     check_strong_in_domatic_partition,
+    check_strong_out_domatic_partition,
+    complete_digraph,
     converse,
     in_dominating_vertices,
     is_in_dominating,
@@ -20,8 +22,11 @@ from indomatic import (
     is_strong_subset,
     line_digraph,
     make_digraph,
+    partition_is_rigid,
     strong_in_domatic_number,
 )
+from indomatic.domination import is_in_domatic_partition
+from indomatic.solver import _all_set_partitions
 
 from .conftest import digraphs, strong_digraphs
 
@@ -101,6 +106,20 @@ class TestStrongInDomaticPartition:
         with pytest.raises(ValueError):
             is_strong_in_domatic_partition(c4, singletons(3))
 
+    @pytest.mark.parametrize("size", [3, 5])
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            check_strong_in_domatic_partition,
+            check_strong_out_domatic_partition,
+            is_in_domatic_partition,
+            partition_is_rigid,
+        ],
+    )
+    def test_partition_must_cover_the_digraph(self, predicate, size):
+        with pytest.raises(ValueError, match=f"partition covers {size} vertices, digraph has 4"):
+            predicate(complete_digraph(4), singletons(size))
+
 
 class TestInDominatingVertices:
     def test_complete(self, k3):
@@ -165,6 +184,22 @@ class TestOutDomaticDuality:
         assert is_strong_in_domatic_partition(D, P) == is_strong_out_domatic_partition(
             converse(D), P
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_partition_matches_the_converse(self, n):
+        # The out-dual reads D's in-masks; the reference builds the converse.
+        partitions = [
+            VertexPartition.from_blocks(blocks)
+            for blocks in _all_set_partitions(list(range(n)))
+        ]
+        for D in all_labeled_digraphs(n):
+            C = converse(D)
+            for P in partitions:
+                dual = check_strong_out_domatic_partition(D, P)
+                assert dual == check_strong_in_domatic_partition(C, P)
+                assert is_in_domatic_partition(D, P) == all(
+                    is_in_dominating(D, b) for b in P.blocks()
+                )
 
 
 class TestClosureProperties:

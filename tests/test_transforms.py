@@ -267,7 +267,7 @@ class TestLifts:
 
         L, _ = line_digraph(k2)
         P = strong_in_domatic_number(L).witness
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="middle-digraph lift needs order at least three"):
             lift_middle_partition(P, k2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="total-digraph lift needs order at least three"):
             lift_total_partition(P, k2)
