@@ -63,23 +63,34 @@ def make_digraph(vertex_count: int, arcs: Iterable[Arc], labels=None) -> Digraph
     arcs.  Duplicates are an error rather than being silently merged, so a
     caller that constructs an arc list twice over learns about it.
     """
-    if vertex_count < 0:
-        raise ValueError(f"vertex_count must be nonnegative, got {vertex_count}")
     arc_list = [(int(u), int(v)) for u, v in arcs]
-    seen = set()
-    for u, v in arc_list:
-        if u == v:
-            raise ValueError(f"loop ({u},{v}) not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"arc ({u},{v}) has an endpoint outside [0,{vertex_count})")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate arc ({u},{v})")
-        seen.add((u, v))
+    fault = _digraph_fault(vertex_count, arc_list)
+    if fault is not None:
+        raise ValueError(fault[1])
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != vertex_count:
             raise ValueError("labels must cover every vertex")
     return Digraph(vertex_count, frozenset(arc_list), labels)
+
+
+def _digraph_fault(vertex_count: int, arcs: Sequence[Arc]) -> Optional[tuple]:
+    """The first rule that ``vertex_count`` and the integer pairs ``arcs``
+    break, as ``(index, message)``: index None blames the vertex count,
+    otherwise it is the position of the first bad arc.  None if the two
+    make a digraph."""
+    if vertex_count < 0:
+        return None, f"vertex_count must be nonnegative, got {vertex_count}"
+    seen = set()
+    for index, (u, v) in enumerate(arcs):
+        if u == v:
+            return index, f"loop ({u},{v}) not allowed"
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            return index, f"arc ({u},{v}) has an endpoint outside [0,{vertex_count})"
+        if (u, v) in seen:
+            return index, f"duplicate arc ({u},{v})"
+        seen.add((u, v))
+    return None
 
 
 def _masks(n: int, pairs) -> tuple:
@@ -273,54 +284,16 @@ def delete_arc(D: Digraph, arc: Arc) -> Digraph:
     return Digraph(D.vertex_count, D.arcs - {(u, v)}, D.labels)
 
 
-def _degree_signature(D: Digraph, v: int) -> tuple:
-    return (D.out_masks[v].bit_count(), D.in_masks[v].bit_count())
-
-
 def are_isomorphic(D: Digraph, H: Digraph) -> bool:
-    """Decide isomorphism by backtracking over vertex bijections.
+    """Decide isomorphism with networkx's VF2 matcher."""
+    # Imported here, as in `undirected.is_planar`: `import indomatic` stays
+    # free of networkx.
+    import networkx as nx
 
-    Vertices are matched by (out-degree, in-degree) signature before the
-    arc-preservation check, which keeps the search tractable for the small
-    orders (<= 8) this is meant for.
-    """
-    n = D.vertex_count
-    if n != H.vertex_count or len(D.arcs) != len(H.arcs):
-        return False
-    if n == 0:
-        return True
-    sig_d = [_degree_signature(D, v) for v in range(n)]
-    sig_h = [_degree_signature(H, v) for v in range(n)]
-    if sorted(sig_d) != sorted(sig_h):
-        return False
-    # Map vertices of D in an order that fixes high-degree vertices first.
-    order = sorted(range(n), key=lambda v: (-sig_d[v][0] - sig_d[v][1], v))
-    mapping = [-1] * n
-    used = [False] * n
+    def to_networkx(G: Digraph):
+        N = nx.DiGraph()
+        N.add_nodes_from(range(G.vertex_count))
+        N.add_edges_from(G.arcs)
+        return N
 
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for w in range(n):
-            if used[w] or sig_h[w] != sig_d[v]:
-                continue
-            ok = True
-            for prev_pos in range(pos):
-                u = order[prev_pos]
-                if ((u, v) in D.arcs) != ((mapping[u], w) in H.arcs):
-                    ok = False
-                    break
-                if ((v, u) in D.arcs) != ((w, mapping[u]) in H.arcs):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(pos + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
+    return nx.is_isomorphic(to_networkx(D), to_networkx(H))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .core import Digraph, make_digraph
+from .core import Digraph, _digraph_fault
 from .domination import ArcPartition, VertexPartition
 from .transforms import TaggedVertex
 
@@ -56,24 +56,14 @@ def parse_digraph(text: str) -> Digraph:
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", number)
         try:
-            arc = (int(fields[0]), int(fields[1]))
+            arcs.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError(f"non-integer endpoint in {line!r}", number)
-        arcs.append((number, arc))
-    try:
-        return make_digraph(vertex_count, [a for _, a in arcs])
-    except ValueError as exc:
-        # Attribute the failure to the first arc line that triggers it.
-        seen = set()
-        for number, (u, v) in arcs:
-            if (
-                u == v
-                or not (0 <= u < vertex_count and 0 <= v < vertex_count)
-                or (u, v) in seen
-            ):
-                raise ParseError(str(exc), number) from exc
-            seen.add((u, v))
-        raise ParseError(str(exc)) from exc
+    fault = _digraph_fault(vertex_count, arcs)
+    if fault is not None:
+        index, message = fault
+        raise ParseError(message, lines[0 if index is None else 1 + index][0])
+    return Digraph(vertex_count, frozenset(arcs))
 
 
 def write_digraph(D: Digraph) -> str:

@@ -26,6 +26,7 @@ from .core import (
     min_out_degree,
     stays_strong_without,
 )
+from .critical import HOLDS, NOT_APPLICABLE
 from .domination import (
     VertexPartition,
     _block_masks,
@@ -54,9 +55,7 @@ from .undirected import (
     vertex_connectivity,
 )
 
-HOLDS = "holds"
 VIOLATED = "violated"
-NOT_APPLICABLE = "not-applicable"
 
 
 LAW_STATEMENTS = {

@@ -141,7 +141,6 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
 def strong_out_domatic_number(D: Digraph) -> SolveResult:
     """Dual invariant via the converse digraph; the witness is valid as a
     strong out-domatic partition of D itself."""
-    _require_strong(D)
     res = strong_in_domatic_number(converse(D))
     _check_witness(
         is_strong_out_domatic_partition(D, res.witness), "strong out-domatic partition"

@@ -192,20 +192,15 @@ def lift_product_partition(P: VertexPartition, D: Digraph, H: Digraph) -> Vertex
 def composition_partition(spec: CompositionSpec) -> VertexPartition:
     """The layered partition of a composition over a strong host: with
     n = the smallest part order, block k < n-1 takes the k-th vertex of
-    every part and the last block takes everything left over."""
+    every part and the last block takes everything left over.  Vertex ids
+    follow ``composition``'s order, part by part in host-vertex order."""
     if spec.host.vertex_count < 2:
         raise ValueError("host must be nontrivial")
     if not is_strong(spec.host):
         raise NotStrongError("host must be strong")
-    _, origin_to_id = composition(spec)
     n = min(part.vertex_count for part in spec.parts)
-    total_vertices = sum(part.vertex_count for part in spec.parts)
-    block_of = [n - 1] * total_vertices
-    for hv, part in enumerate(spec.parts):
-        for pv in range(part.vertex_count):
-            if pv < n - 1:
-                block_of[origin_to_id[(hv, pv)]] = pv
-    return VertexPartition(tuple(block_of), n)
+    block_of = tuple(min(pv, n - 1) for part in spec.parts for pv in range(part.vertex_count))
+    return VertexPartition(block_of, n)
 
 
 def _check_lift(P: VertexPartition, D: Digraph, construction: str) -> None:

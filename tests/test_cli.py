@@ -103,8 +103,10 @@ class TestCompute:
                 "a digraph has one if and only if it is strong\n",
             ),
             ("n 0\n", 2, "input error: strong connectivity is undefined for the empty digraph\n"),
+            ("n -1\n", 2, "input error: line 1: vertex_count must be nonnegative, got -1\n"),
+            ("n -1\n0 1\n", 2, "input error: line 1: vertex_count must be nonnegative, got -1\n"),
         ],
-        ids=["malformed", "missing", "not-strong", "empty"],
+        ids=["malformed", "missing", "not-strong", "empty", "negative", "negative-with-arc"],
     )
     def test_error_bytes(self, tmp_path, capsys, text, code, err):
         path = tmp_path / "in.dg"

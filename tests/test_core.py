@@ -1,9 +1,11 @@
 import importlib
 import pkgutil
 from collections import deque
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indomatic
 from indomatic import (
@@ -26,7 +28,7 @@ from indomatic import (
     stays_strong_without,
 )
 
-from .conftest import digraphs, strong_digraphs
+from .conftest import all_pairs, digraphs, strong_digraphs
 
 
 def transitive_tournament(n):
@@ -328,3 +330,35 @@ class TestIsomorphism:
             6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         )
         assert not are_isomorphic(hexagon, triangles)
+
+    def test_every_pair_up_to_order_three(self):
+        small = [make_digraph(0, [])] + [
+            D for n in (1, 2, 3) for D in all_labeled_digraphs(n)
+        ]
+        for D in small:
+            for H in small:
+                assert are_isomorphic(D, H) == isomorphic_by_permutations(D, H)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_relabelings_with_and_without_a_flipped_arc(self, data):
+        D = data.draw(digraphs(min_n=4, max_n=6))
+        perm = data.draw(st.permutations(range(D.vertex_count)))
+        arcs = {(perm[u], perm[v]) for u, v in D.arcs}
+        if data.draw(st.booleans()):
+            # Reverse one ordered pair: (u, v) and (v, u) swap membership.
+            u, v = data.draw(st.sampled_from(all_pairs(D.vertex_count)))
+            if ((u, v) in arcs) != ((v, u) in arcs):
+                arcs ^= {(u, v), (v, u)}
+        H = make_digraph(D.vertex_count, sorted(arcs))
+        assert are_isomorphic(D, H) == isomorphic_by_permutations(D, H)
+
+
+def isomorphic_by_permutations(D, H):
+    """Reference: some bijection of the vertices maps D's arcs onto H's."""
+    if D.vertex_count != H.vertex_count or len(D.arcs) != len(H.arcs):
+        return False
+    return any(
+        {(p[u], p[v]) for u, v in D.arcs} == H.arcs
+        for p in permutations(range(D.vertex_count))
+    )

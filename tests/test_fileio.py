@@ -5,6 +5,7 @@ from indomatic import (
     VertexPartition,
     directed_cycle,
     lambda_number,
+    make_digraph,
     subdivision,
 )
 from indomatic.fileio import (
@@ -65,6 +66,40 @@ class TestDigraphParseErrors:
     def test_duplicate_carries_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_digraph("n 2\n0 1\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "arcs,bad",
+        [
+            ([(0, 1), (1, 2), (2, 2), (2, 0)], 2),
+            ([(0, 1), (1, 2), (2, 3), (2, 0)], 2),
+            ([(0, 1), (1, 2), (2, 0), (1, 2)], 3),
+        ],
+        ids=["loop", "range", "duplicate"],
+    )
+    def test_arc_rules_blame_the_first_bad_arc_line(self, arcs, bad):
+        # A comment and a blank line precede the header, and a blank or a
+        # comment line precedes each arc, so arc i sits on line 5 + 2 * i.
+        text = "# header next\n\nn 3\n" + "".join(
+            f"# arc {i}\n{u} {v}\n" if i % 2 else f"\n{u} {v}\n"
+            for i, (u, v) in enumerate(arcs)
+        )
+        with pytest.raises(ValueError) as expected:
+            make_digraph(3, arcs)
+        with pytest.raises(ParseError) as got:
+            parse_digraph(text)
+        assert str(got.value) == f"line {5 + 2 * bad}: {expected.value}"
+
+    @pytest.mark.parametrize("text", ["n -1\n", "n -1\n0 1\n", "# c\nn -1\n\n1 0\n"])
+    def test_negative_vertex_count_blames_the_header(self, text):
+        header = 1 + text.startswith("#")
+        with pytest.raises(ParseError) as got:
+            parse_digraph(text)
+        assert str(got.value) == f"line {header}: vertex_count must be nonnegative, got -1"
+
+    def test_malformed_arc_line_is_reported_before_the_vertex_count(self):
+        with pytest.raises(ParseError) as got:
+            parse_digraph("n -1\n0 1\n0 x\n")
+        assert str(got.value) == "line 3: non-integer endpoint in '0 x'"
 
 
 class TestPartitionFiles:

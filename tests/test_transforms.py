@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indomatic import (
     CompositionSpec,
+    VertexPartition,
     are_isomorphic,
     arc_induced_subdigraph,
     cartesian_product,
@@ -220,6 +222,21 @@ class TestLifts:
         C, _ = composition(spec)
         assert P.block_count == 3
         assert is_strong_in_domatic_partition(C, P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_composition_partition_matches_composition_ids(self, data):
+        host = data.draw(strong_digraphs(min_n=2, max_n=4))
+        parts = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(host.vertex_count)]
+        spec = CompositionSpec.of(host, parts)
+        # Reference: read each vertex's id from the built composition.
+        _, origin_to_id = composition(spec)
+        n = min(part.vertex_count for part in parts)
+        block_of = [n - 1] * len(origin_to_id)
+        for (hv, pv), vid in origin_to_id.items():
+            if pv < n - 1:
+                block_of[vid] = pv
+        assert composition_partition(spec) == VertexPartition(tuple(block_of), n)
 
     def test_composition_partition_min_one(self, c3):
         spec = CompositionSpec.of(
