@@ -133,6 +133,14 @@ def _strong_on(
     return _reaches(root, out_masks, allowed, block) and _reaches(root, in_masks, allowed, block)
 
 
+def _bypassed(masks: Sequence[int], allowed: int, u: int, v: int) -> bool:
+    """Inside ``allowed``, which holds u and v, v is still reachable from u
+    along ``masks`` without the arc (u, v).  A shortest such walk leaves u
+    by another arc and never comes back to u, so one closure that avoids u
+    decides it."""
+    return _reaches(masks[u] & allowed & ~(1 << v), masks, allowed & ~(1 << u), 1 << v)
+
+
 def _dominates(masks: Sequence[int], members: int) -> bool:
     """Every vertex outside the mask ``members`` has a neighbor in it along
     ``masks``: in-domination on out-masks, domination on undirected ones."""
@@ -238,14 +246,11 @@ def is_strong_subset(D: Digraph, S) -> bool:
 def stays_strong_without(D: Digraph, arc: Arc) -> bool:
     """For a strong ``D``: ``D`` minus ``arc`` is still strong.  That holds
     exactly when the head of (u, v) stays reachable from its tail, since a
-    walk through the arc can take that detour instead; a shortest such
-    walk leaves u by another arc and never comes back to u."""
+    walk through the arc can take that detour instead."""
     u, v = arc
     if (u, v) not in D.arcs:
         raise ValueError(f"({u},{v}) is not an arc of the digraph")
-    masks = D.out_masks
-    allowed = ((1 << D.vertex_count) - 1) & ~(1 << u)
-    return _reaches(masks[u] & ~(1 << v), masks, allowed, 1 << v)
+    return _bypassed(D.out_masks, (1 << D.vertex_count) - 1, u, v)
 
 
 def is_semicomplete(D: Digraph) -> bool:

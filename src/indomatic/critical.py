@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .core import (
     Digraph,
     NotStrongError,
-    _reaches,
+    _bypassed,
     _strong_on,
     delete_arc,
     is_strong,
@@ -164,9 +164,7 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
         # strong one each deletion is one closure, as in ``stays_strong_without``.
         if _strong_on(masks, D.in_masks, block, block):
             for u, v in arcs:
-                if block >> u & 1 and block >> v & 1 and _reaches(
-                    masks[u] & block & ~(1 << v), masks, block & ~(1 << u), 1 << v
-                ):
+                if block >> u & 1 and block >> v & 1 and _bypassed(masks, block, u, v):
                     return False, (
                         f"block {i} stays strong after deleting internal arc {(u, v)}"
                     )

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from .core import (
     Digraph,
     NotStrongError,
+    _bypassed,
     _members,
     _strong_on,
     converse,
@@ -169,14 +170,32 @@ def _is_symmetric_path(D: Digraph, block: int) -> bool:
 
 
 def _sample_spanning_strong(D: Digraph, rng: random.Random) -> Digraph:
-    current = D
+    """A random spanning strong subdigraph of the strong digraph D: delete
+    one arc, chosen uniformly among those whose deletion keeps strongness,
+    until none is left or a 0.3 coin stops the walk.
+
+    The walk runs on one copy of D's out-masks.  Deleting arcs never
+    restores strongness, so an arc that stopped being deletable never
+    becomes so again: filtering the previous candidate list is exact, and
+    it keeps the sorted order that ``rng.choice`` draws from.
+    """
+    masks = list(D.out_masks)
+    full = (1 << D.vertex_count) - 1
+    candidates = D.sorted_arcs()
+    deleted = set()
     while True:
+        # The test of ``stays_strong_without``, on the arcs still present.
         candidates = [
-            a for a in current.sorted_arcs() if stays_strong_without(current, a)
+            (u, v)
+            for u, v in candidates
+            if masks[u] >> v & 1 and _bypassed(masks, full, u, v)
         ]
         if not candidates or rng.random() < 0.3:
-            return current
-        current = delete_arc(current, rng.choice(candidates))
+            break
+        u, v = rng.choice(candidates)
+        masks[u] &= ~(1 << v)
+        deleted.add((u, v))
+    return Digraph(D.vertex_count, D.arcs - deleted, D.labels) if deleted else D
 
 
 def check_all(

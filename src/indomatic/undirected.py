@@ -156,7 +156,17 @@ def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:
 
 
 def is_planar(G: UGraph) -> bool:
-    """Planarity decision, delegated to networkx's embedding algorithm."""
+    """Planarity decision.  Order and edge count settle most graphs: by
+    Kuratowski's theorem K5 is the only non-planar graph on at most five
+    vertices, and by Euler's formula a simple planar graph on n >= 3
+    vertices has at most 3n - 6 edges.  The rest go to networkx's
+    left-right embedding algorithm."""
+    n = G.vertex_count
+    m = len(G.edges)
+    if n <= 5:
+        return m < 10
+    if m > 3 * n - 6:
+        return False
     # Imported here: loading networkx doubles the memory of `import indomatic`.
     import networkx as nx
 

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -7,6 +10,7 @@ from indomatic import (
     all_labeled_digraphs,
     check_all,
     complete_digraph,
+    delete_arc,
     directed_cycle,
     is_planar,
     is_semicomplete,
@@ -14,6 +18,8 @@ from indomatic import (
     make_digraph,
     min_out_degree,
     pair_critical_family,
+    random_strong_digraph,
+    stays_strong_without,
     strong_in_domatic_number,
     underlying_graph,
     upper_bound,
@@ -226,3 +232,55 @@ class TestOneSolvePerDigraph:
     @given(strong_digraphs(max_n=5))
     def test_random_strong(self, D):
         assert_each_digraph_solved_once(D, subdigraph_samples=5, seed=1)
+
+
+def reference_spanning_sample(D, rng):
+    """L7's sampler written plainly: recompute the deletable arcs of the
+    current digraph from scratch and build a digraph per deletion."""
+    current = D
+    while True:
+        candidates = [a for a in current.sorted_arcs() if stays_strong_without(current, a)]
+        if not candidates or rng.random() < 0.3:
+            return current
+        current = delete_arc(current, rng.choice(candidates))
+
+
+def sampler_inputs():
+    for n in range(1, 5):
+        yield from (D for D in all_labeled_digraphs(n) if is_strong(D))
+    for n in range(5, 8):
+        source = random.Random(n)
+        for _ in range(10):
+            yield random_strong_digraph(n, source, 0.5)
+
+
+class TestSpanningSample:
+    def test_matches_the_reference_loop(self):
+        checked = 0
+        for D in sampler_inputs():
+            for seed in range(5):
+                expected_rng, rng = random.Random(seed), random.Random(seed)
+                expected = reference_spanning_sample(D, expected_rng)
+                H = laws._sample_spanning_strong(D, rng)
+                assert H.arcs == expected.arcs
+                assert (H is D) == (H.arcs == D.arcs)
+                assert rng.getstate() == expected_rng.getstate()
+                checked += 1
+        assert checked == 5 * (1626 + 30)
+
+    def test_planted_violation_is_reported(self, monkeypatch):
+        D = complete_digraph(4)
+        value = strong_in_domatic_number(D).value
+        rng = random.Random(0)
+        samples = [laws._sample_spanning_strong(D, rng) for _ in range(5)]
+        planted = next(H for H in samples if H != D)
+        solve = laws.strong_in_domatic_number
+
+        def overstated(H):
+            result = solve(H)
+            return dataclasses.replace(result, value=value + 1) if H == planted else result
+
+        monkeypatch.setattr(laws, "strong_in_domatic_number", overstated)
+        report = check_all(D, subdigraph_samples=5, seed=0)
+        assert statuses(report)["L7"] == VIOLATED
+        assert details(report, "L7")["failure"] == sorted(planted.arcs)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -205,14 +206,55 @@ class TestPlanarity:
         k33 = make_ugraph(6, [(u, v) for u in range(3) for v in range(3, 6)])
         assert not is_planar(k33)
 
-    def test_importing_the_package_leaves_networkx_unloaded(self):
-        code = "import sys, indomatic, indomatic.cli; print('networkx' in sys.modules)"
+    @staticmethod
+    def networkx_loaded_after(code):
+        code = f"import sys, indomatic, indomatic.cli; {code}; print('networkx' in sys.modules)"
         src = str(Path(indomatic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip() == "True"
+
+    def test_importing_the_package_leaves_networkx_unloaded(self):
+        assert not self.networkx_loaded_after("pass")
+
+    def test_order_five_is_decided_without_networkx(self):
+        k5 = "indomatic.make_ugraph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])"
+        c5 = "indomatic.make_ugraph(5, [(i, (i + 1) % 5) for i in range(5)])"
+        code = f"assert not indomatic.is_planar({k5}); assert indomatic.is_planar({c5})"
+        assert not self.networkx_loaded_after(code)
+
+    @staticmethod
+    def networkx_planar(G):
+        H = nx.Graph()
+        H.add_nodes_from(range(G.vertex_count))
+        H.add_edges_from(G.edges)
+        return nx.check_planarity(H)[0]
+
+    def test_matches_networkx_up_to_order_five(self):
+        checked = 0
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            for chosen in range(1 << len(pairs)):
+                G = make_ugraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+                assert is_planar(G) == self.networkx_planar(G)
+                checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_matches_networkx_around_eulers_bound(self, n):
+        # Edge counts from three below to two above 3n - 6.
+        rng = random.Random(n)
+        pairs = list(combinations(range(n), 2))
+        outcomes = set()
+        for m in range(3 * n - 9, 3 * n - 3):
+            for _ in range(20):
+                G = make_ugraph(n, rng.sample(pairs, m))
+                planar = is_planar(G)
+                assert planar == self.networkx_planar(G)
+                outcomes.add((m <= 3 * n - 6, planar))
+        assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 class TestSetPredicates:
