@@ -55,15 +55,17 @@ from .core import _strong_on
 
 class SearchCounter:
     """Mutable counters threaded through a search: nodes visited, subtrees
-    cut because a block could no longer become strong, and items placed by
-    propagation instead of branching."""
+    cut because a block could no longer become strong, items placed by
+    propagation instead of branching, and the ``(k, nodes, found)`` of each
+    search ``largest_partition`` ran."""
 
-    __slots__ = ("nodes", "strong_prunes", "forced")
+    __slots__ = ("nodes", "strong_prunes", "forced", "probes")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.strong_prunes = 0
         self.forced = 0
+        self.probes = []
 
 
 def _search(
@@ -254,16 +256,34 @@ def partition_search(
         yield tuple(frozenset(x for x in range(n) if block >> x & 1) for block in found)
 
 
-def largest_partition(search: Callable[[int], Iterator[tuple]], cap: int, whole: tuple):
+def largest_partition(
+    search: Callable[[int], Iterator[tuple]], cap: int, whole: tuple, counter: SearchCounter
+):
     """First partition yielded by ``search(k)`` for the largest k <= cap that
     yields one, or ``whole`` when no k >= 2 does.  Feasible k must form a
-    prefix, so k = 2, 3, ... are tried only up to the first that fails."""
-    best, k = whole, 2
-    while k <= cap:
+    prefix, and the values of most inputs sit at the cap, so k = cap is
+    tried first: a partition there is the answer.  Only when the cap fails
+    are k = 2, 3, ... tried, up to the first that fails and below the cap.
+    ``search`` must count its nodes in ``counter``; each search is recorded
+    in ``counter.probes`` as ``(k, nodes, found)``, in the order tried."""
+
+    def probe(k: int):
+        before = counter.nodes
         found = next(search(k), None)
+        counter.probes.append((k, counter.nodes - before, found is not None))
+        return found
+
+    if cap < 2:
+        return whole
+    found = probe(cap)
+    if found is not None:
+        return found
+    best = whole
+    for k in range(2, cap):
+        found = probe(k)
         if found is None:
             break
-        best, k = found, k + 1
+        best = found
     return best
 
 

@@ -283,8 +283,9 @@ def check_all(
         kappa = vertex_connectivity(UG)
         entry("L3", HOLDS if value <= kappa else VIOLATED, value=value, kappa=kappa)
 
-    # The solver's k loop stops at the L4/L5 bounds: at that cap, decide the
-    # next k once.  Below it the solver has already refuted value + 1.
+    # The solver searches no k past the L4/L5 bounds (search_cap): at that
+    # cap, decide the next k once.  Below it the solver has already refuted
+    # value + 1, as the cap itself or as the first failure below a failed cap.
     bounded = value
     if value == search_cap(D) < n and exists_partition_into_k(D, value + 1) is not None:
         bounded = value + 1

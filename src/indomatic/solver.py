@@ -2,12 +2,13 @@
 
 All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
-feasible), so the solver searches k = 1, 2, ... and stops at the first
-infeasible size.  The search assigns items in fixed order with
-block-opening symmetry breaking, places an item at once when all blocks
-are open and only one is left to it, and cuts a subtree as soon as some
-block can no longer become strong (for arc blocks: a strong cover); see
-``_search``.  Every returned witness is checked against the public
+feasible).  The solver first searches k = cap, the admissible cap, which
+most values reach: a partition there is the answer.  When the cap fails,
+it searches k = 2, 3, ... below the cap and stops at the first infeasible
+size.  The search assigns items in fixed order with block-opening
+symmetry breaking, places an item at once when all blocks are open and
+only one is left to it, and cuts a subtree as soon as some block can no
+longer become strong (for arc blocks: a strong cover); see ``_search``.  Every returned witness is checked against the public
 predicates, and a failed check raises ``WitnessCheckError``.
 
 ``brute_force_oracle`` is the trust anchor: it enumerates every set
@@ -51,6 +52,10 @@ class SolveStats:
     # Items (vertices, or arcs for lambda_number) placed by propagation,
     # each the one block left to it.
     forced: int = 0
+    # One (k, nodes, found) per search for exactly k blocks, in the order
+    # tried: the cap first, then k = 2, 3, ... if the cap failed.  Their
+    # nodes sum to ``nodes``.
+    probes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,11 @@ def _require_strong(D: Digraph) -> None:
 
 def _stats(counter: SearchCounter, start: float) -> SolveStats:
     return SolveStats(
-        counter.nodes, time.perf_counter() - start, counter.strong_prunes, counter.forced
+        counter.nodes,
+        time.perf_counter() - start,
+        counter.strong_prunes,
+        counter.forced,
+        tuple(counter.probes),
     )
 
 
@@ -129,6 +138,7 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
         lambda k: partition_search(n, D.out_masks, k, masks, counter),
         search_cap(D),
         (range(n),),
+        counter,
     )
     witness = VertexPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
@@ -160,6 +170,7 @@ def in_domatic_number(D: Digraph) -> SolveResult:
         lambda k: partition_search(n, D.out_masks, k, None, counter),
         min_out_degree(D) + 1,
         (range(n),),
+        counter,
     )
     witness = VertexPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))
@@ -190,7 +201,7 @@ def lambda_number(D: Digraph) -> SolveResult:
     cap = min(min_out_degree(D), min_in_degree(D))
     arcs = D.sorted_arcs()
     found = largest_partition(
-        lambda k: arc_partition_search(D.vertex_count, arcs, k, counter), cap, (arcs,)
+        lambda k: arc_partition_search(D.vertex_count, arcs, k, counter), cap, (arcs,), counter
     )
     witness = ArcPartition.from_blocks(found)
     result = SolveResult(witness.block_count, witness, _stats(counter, start))

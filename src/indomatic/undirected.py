@@ -7,8 +7,9 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Tuple, Union
 
-from ._search import largest_partition, partition_search
+from ._search import SearchCounter, largest_partition, partition_search
 from .core import Digraph, _dominates, _masks, _reaches, _require_subset
+from .solver import _check_witness
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,10 @@ def connected_domatic_number(G: UGraph):
 
     Merging blocks of such a partition preserves the property (each block
     dominates, so its vertices all touch any other block), hence the
-    feasible sizes form a prefix and an ascending search is exact.
+    feasible sizes form a prefix: a partition at the cap is the answer,
+    and below a failed cap the first infeasible k ends the search.  The
+    witness is checked block by block, and a failed check raises
+    ``WitnessCheckError``.
     """
     n = G.vertex_count
     if n == 0:
@@ -135,9 +139,23 @@ def connected_domatic_number(G: UGraph):
     cap = min(mask.bit_count() for mask in masks) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
         cap = min(cap, vertex_connectivity(G))
+    counter = SearchCounter()
     best = largest_partition(
         # Connectivity is strongness of the symmetric neighbor relation.
-        lambda k: partition_search(n, masks, k, (masks, masks)), cap, (frozenset(range(n)),)
+        lambda k: partition_search(n, masks, k, (masks, masks), counter),
+        cap,
+        (frozenset(range(n)),),
+        counter,
+    )
+    # The blocks cover each vertex once, and each is nonempty, connected
+    # and dominating.
+    blocks = [sum(1 << v for v in block) for block in best]
+    _check_witness(
+        sorted(v for block in best for v in block) == list(range(n))
+        and all(
+            block and _connected_on(masks, block) and _dominates(masks, block) for block in blocks
+        ),
+        "connected domatic partition",
     )
     return len(best), best
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from collections import defaultdict
@@ -30,11 +31,14 @@ from indomatic import (
     lambda_number,
     make_digraph,
     pair_critical_family,
+    random_strong_digraph,
     strong_in_domatic_number,
     strong_in_domatic_partitions,
     strong_out_domatic_number,
+    underlying_graph,
     upper_bound,
 )
+from indomatic.undirected import connected_domatic_number
 
 from .conftest import digraphs, strong_digraphs
 
@@ -67,6 +71,14 @@ def strong_cover_partitions_by_size(D):
         if is_strong_cover_partition(D, Q):
             by_size[len(blocks)].append(Q)
     return by_size
+
+
+# Strong in-domatic number 1 under a cap of 3: the cap and k = 2 both fail.
+GAP_TWO = make_digraph(
+    5,
+    [(0, 1), (0, 3), (1, 0), (1, 3), (2, 0), (2, 3), (3, 2), (3, 4), (4, 0), (4, 1), (4, 2),
+     (4, 3)],
+)
 
 
 class TestExistsPartitionIntoK:
@@ -192,10 +204,12 @@ class TestLambdaNumber:
         with pytest.raises(ValueError):
             lambda_number(make_digraph(1, []))
 
-    @pytest.mark.parametrize("n, value", [(3, 2), (4, 2), (5, 4), (6, 4)])
+    @pytest.mark.parametrize(
+        "n, value", [(3, 2), (4, 2), (5, 4), (6, 4), (7, 6), (8, 7), (9, 8), (10, 9)]
+    )
     def test_complete(self, n, value):
-        # K4* and K6* are the complete digraphs without a Hamiltonian
-        # decomposition, so they stop one short of n - 1.
+        # Tillson (JCTB 29, 1980): K_n* decomposes into n - 1 Hamiltonian
+        # cycles except for n = 4 and 6, which stop one short.
         D = complete_digraph(n)
         result = lambda_number(D)
         assert result.value == value
@@ -207,6 +221,10 @@ class TestLambdaNumber:
             # 211k nodes when strongness is only checked at the leaves, and
             # 2,148 with strong-cover pruning and forced arcs.
             assert result.stats.nodes < 50_000
+        if n == 10:
+            # The decomposition at the cap is searched first: 656 nodes,
+            # against 17,759 finding strong covers for k = 2, ..., 8 first.
+            assert result.stats.nodes < 2_000
 
     @pytest.mark.parametrize(
         "n, value, labels",
@@ -377,16 +395,17 @@ class TestSolveStats:
         assert in_domatic_number(D).stats.strong_prunes == 0
 
     def test_forced_placements_counted(self):
-        # Branching on every vertex, pair_critical_family(9) takes 96,464
-        # nodes; placing forced vertices once all blocks are open, 474.
+        # Found at the cap, pair_critical_family(9) takes 322 nodes branching
+        # on every vertex, 182 barring vertices from blocks without placing
+        # them, and 138 placing forced vertices once all blocks are open.
         result = strong_in_domatic_number(pair_critical_family(9).digraph)
         assert result.value == 9
-        assert result.stats.nodes < 2_000
+        assert result.stats.nodes < 160
         assert result.stats.forced > 0
         assert in_domatic_number(pair_critical_family(4).digraph).stats.forced > 0
         # The arc search forces arcs too: proving that K6* has no Hamiltonian
-        # decomposition takes 9,064 nodes branching on every arc, 2,148 with
-        # forced arcs.
+        # decomposition takes 42,829 nodes branching on every arc, 8,512
+        # barring arcs without placing them, and 2,148 with forced arcs.
         result = lambda_number(complete_digraph(6))
         assert result.value == 4
         assert result.stats.nodes < 4_000
@@ -394,11 +413,22 @@ class TestSolveStats:
 
     def test_barred_arcs_leave_the_strong_closure(self):
         # An arc barred from a block cannot complete its strong cover, so the
-        # closure leaves it out: lambda(K7*) takes 187 nodes, and 343 with
+        # closure leaves it out: lambda(K7*) takes 36 nodes, and 95 with
         # barred arcs left in.
         result = lambda_number(complete_digraph(7))
         assert result.value == 6
-        assert result.stats.nodes < 250
+        assert result.stats.nodes < 60
+
+    def test_probes(self):
+        # The value of K7* is its cap: one search, at k = 6, settles it.
+        result = lambda_number(complete_digraph(7))
+        assert [(k, found) for k, _, found in result.stats.probes] == [(6, True)]
+        assert sum(nodes for _, nodes, _ in result.stats.probes) == result.stats.nodes
+        # Value 1 under a cap of 3: the cap fails, then k = 2 does too.
+        result = strong_in_domatic_number(GAP_TWO)
+        assert (result.value, search_cap(GAP_TWO)) == (1, 3)
+        assert [(k, found) for k, _, found in result.stats.probes] == [(3, False), (2, False)]
+        assert sum(nodes for _, nodes, _ in result.stats.probes) == result.stats.nodes
 
     def test_witness_checks_survive_optimize_flag(self):
         # The post-conditions must not be asserts, which python -O strips.
@@ -420,6 +450,64 @@ class TestSolveStats:
             check=True,
         )
         assert out.stdout == "raised\n"
+
+
+def ascending_ladder(search, whole):
+    """The first partition ``search(k)`` yields for the last k of
+    k = 2, 3, ... before the first that yields none, or ``whole``: the
+    largest feasible size, found with no cap, when feasible sizes form a
+    prefix."""
+    best, k = whole, 2
+    while (found := next(search(k), None)) is not None:
+        best, k = found, k + 1
+    return best
+
+
+class TestCapFirst:
+    """The solvers search the cap first; their values and witnesses are
+    those of an uncapped ascending ladder over the same engine."""
+
+    def check(self, D):
+        # D is strong.
+        n, out_masks = D.vertex_count, D.out_masks
+        strong = (out_masks, D.in_masks)
+        found = ascending_ladder(lambda k: partition_search(n, out_masks, k, strong), (range(n),))
+        assert strong_in_domatic_number(D).witness == VertexPartition.from_blocks(found)
+        found = ascending_ladder(lambda k: partition_search(n, out_masks, k), (range(n),))
+        assert in_domatic_number(D).witness == VertexPartition.from_blocks(found)
+        if n >= 2:
+            arcs = D.sorted_arcs()
+            found = ascending_ladder(lambda k: arc_partition_search(n, arcs, k), (arcs,))
+            assert lambda_number(D).witness == ArcPartition.from_blocks(found)
+
+    def check_graph(self, G):
+        masks, n = G.masks, G.vertex_count
+        found = ascending_ladder(
+            lambda k: partition_search(n, masks, k, (masks, masks)), (frozenset(range(n)),)
+        )
+        assert connected_domatic_number(G) == (len(found), found)
+
+    def test_every_strong_digraph_to_order_4(self):
+        graphs = set()
+        for n in range(1, 5):
+            for D in all_labeled_digraphs(n):
+                if is_strong(D):
+                    self.check(D)
+                    graphs.add(underlying_graph(D))
+        for G in graphs:
+            self.check_graph(G)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_random_digraphs(self, n):
+        rng = random.Random(n)
+        for _ in range(6):
+            D = random_strong_digraph(n, rng, rng.choice([0.3, 0.5, 0.7]))
+            self.check(D)
+            self.check_graph(underlying_graph(D))
+
+    def test_gap_two(self):
+        self.check(GAP_TWO)
+        self.check_graph(underlying_graph(GAP_TWO))
 
 
 class TestBruteForceOracle:

@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indomatic
+from indomatic import undirected
 from indomatic import (
     NO_DOMINATING_CLIQUE,
+    WitnessCheckError,
     clique_domination_number,
     complete_digraph,
     connected_domatic_number,
@@ -140,6 +142,22 @@ class TestConnectedDomatic:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             connected_domatic_number(make_ugraph(2, []))
+
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            ({0}, {1, 2, 3}),  # {0} does not dominate 2 or 3
+            ({0, 2}, {1, 3}),  # both dominate, neither is connected
+            ({0, 1, 2},),  # 3 is left out
+            ({0, 1}, {1, 2, 3}),  # 1 is in two blocks
+        ],
+    )
+    def test_failed_witness_raises(self, monkeypatch, witness):
+        # A real check, not an assert: CI also runs this file under python -O.
+        bad = tuple(frozenset(block) for block in witness)
+        monkeypatch.setattr(undirected, "largest_partition", lambda *args: bad)
+        with pytest.raises(WitnessCheckError):
+            connected_domatic_number(path_graph(4))
 
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=6))
