@@ -12,6 +12,9 @@ spanning-strong closure.
 Items go in fixed order and block j opens only once blocks 0..j-1 are
 open, so every set partition is visited once, blocks ordered by first
 member: the first witness is canonical and enumeration duplicate-free.
+A partition is yielded as its tuple of block labels, item i's block at
+index i; blocks open in order, so the labels are restricted-growth (each
+at most one above every earlier label), as ``VertexPartition.block_of``.
 
 The slack of need r is its unassigned members plus the open blocks meeting
 it (``hit[r]``), less k: every block not meeting r yet needs a distinct
@@ -74,7 +77,7 @@ def _search(
 ) -> Iterator[tuple]:
     """Yield every partition of items 0..m-1 into exactly k blocks, each
     meeting every mask of ``needs`` and, when ``viable`` is given, passing
-    ``viable(block, free)``, as tuples of member bitmasks."""
+    ``viable(block, free)``, as tuples of block labels."""
     if not (1 <= k <= m):
         return
     counter = counter or SearchCounter()
@@ -86,8 +89,10 @@ def _search(
             needs_of[low.bit_length() - 1].append(r)
             need ^= low
 
-    # members[j]: bitmask of the items assigned to block j.
+    # members[j]: bitmask of the items assigned to block j; labels[i]: the
+    # block item i was last placed in, so at a leaf item i's block.
     members = [0] * k
+    labels = [0] * m
     # hit[r]: bits of the blocks meeting needs[r].
     hit = [0] * len(needs)
 
@@ -158,6 +163,7 @@ def _search(
                 block_bit = 1 << b
                 while hits:
                     low = hits & -hits
+                    labels[low.bit_length() - 1] = b
                     moved = needs_of[low.bit_length() - 1]
                     for r in moved:
                         hit[r] |= block_bit
@@ -173,7 +179,7 @@ def _search(
         counter.nodes += 1
         if not rest:
             if opened == k:
-                yield tuple(members)
+                yield tuple(labels)
             return
         # Not enough unassigned items left to open the remaining blocks (no
         # item is forced before all k are open, so m - i counts them).
@@ -187,6 +193,7 @@ def _search(
             # the search's hot path.
             block_bit = 1 << b
             members[b] |= bit
+            labels[i] = b
             for r in mine:
                 hit[r] |= block_bit
             now_opened = max(opened, b + 1)
@@ -235,11 +242,12 @@ def partition_search(
     that each item outside a block has a ``cover`` member inside it and,
     when ``strong_masks`` is given, every block is strong.
 
-    Partitions are yielded as tuples of frozensets ordered by minimum
-    member.  ``cover[x]`` is the bitmask of the items whose presence in a
-    block satisfies x's requirement toward that block.  ``strong_masks``
-    holds the out- and in-neighbor bitmasks (as ``Digraph.out_masks`` and
-    ``Digraph.in_masks``) of the relation the blocks must be strong in.
+    Partitions are yielded as tuples of block labels, blocks ordered by
+    minimum member: exactly ``VertexPartition.block_of``.  ``cover[x]`` is
+    the bitmask of the items whose presence in a block satisfies x's
+    requirement toward that block.  ``strong_masks`` holds the out- and
+    in-neighbor bitmasks (as ``Digraph.out_masks`` and ``Digraph.in_masks``)
+    of the relation the blocks must be strong in.
     """
     viable = None
     if strong_masks is not None:
@@ -251,19 +259,18 @@ def partition_search(
                 out_masks, in_masks, block | free, block
             )
 
-    needs = [cover[x] | 1 << x for x in range(n)]
-    for found in _search(n, needs, k, viable, counter):
-        yield tuple(frozenset(x for x in range(n) if block >> x & 1) for block in found)
+    return _search(n, [cover[x] | 1 << x for x in range(n)], k, viable, counter)
 
 
 def largest_partition(
     search: Callable[[int], Iterator[tuple]], cap: int, whole: tuple, counter: SearchCounter
 ):
     """First partition yielded by ``search(k)`` for the largest k <= cap that
-    yields one, or ``whole`` when no k >= 2 does.  Feasible k must form a
-    prefix, and the values of most inputs sit at the cap, so k = cap is
-    tried first: a partition there is the answer.  Only when the cap fails
-    are k = 2, 3, ... tried, up to the first that fails and below the cap.
+    yields one, or ``whole``, the all-zero labels of the one block, when no
+    k >= 2 does.  Feasible k must form a prefix, and the values of most
+    inputs sit at the cap, so k = cap is tried first: a partition there is
+    the answer.  Only when the cap fails are k = 2, 3, ... tried, up to the
+    first that fails and below the cap.
     ``search`` must count its nodes in ``counter``; each search is recorded
     in ``counter.probes`` as ``(k, nodes, found)``, in the order tried."""
 
@@ -295,7 +302,8 @@ def arc_partition_search(
 ) -> Iterator[tuple]:
     """Yield every partition of ``arcs``, the arcs of a digraph on
     ``range(n)`` with n >= 2, into exactly ``k`` strong covers, as tuples
-    of arc lists in the order of ``arcs``, blocks ordered by first arc."""
+    of block labels in the order of ``arcs``, blocks ordered by first arc:
+    zipped with ``D.sorted_arcs()`` they are ``ArcPartition.block_of``."""
     full = (1 << n) - 1
     # outs[u] / ins[v]: bits of the arcs leaving u / entering v.
     outs, ins = [0] * n, [0] * n
@@ -315,5 +323,4 @@ def arc_partition_search(
             allowed ^= low
         return _strong_on(out_masks, in_masks, full, full)
 
-    for found in _search(len(arcs), outs + ins, k, viable, counter):
-        yield tuple([arc for i, arc in enumerate(arcs) if block >> i & 1] for block in found)
+    return _search(len(arcs), outs + ins, k, viable, counter)

@@ -57,6 +57,10 @@ from .undirected import (
 )
 
 VIOLATED = "violated"
+# A law needing an exact solve above _ORDER_CAP vertices, or L13 on more
+# than min(_ORDER_CAP, _ARC_CAP) arcs, reports not-applicable.
+_ORDER_CAP = 8
+_ARC_CAP = 12
 
 
 LAW_STATEMENTS = {
@@ -204,8 +208,6 @@ def check_all(
     second_factor: Optional[Digraph] = None,
     subdigraph_samples: int = 20,
     seed: int = 0,
-    order_cap: int = 8,
-    arc_cap: int = 12,
 ) -> LawReport:
     """Evaluate every law on D and assemble the report in law order.
 
@@ -244,8 +246,8 @@ def check_all(
 
     n = D.vertex_count
     m = len(D.arcs)
-    if n > order_cap:
-        entry("L1", NOT_APPLICABLE, reason=f"order {n} above solver cap {order_cap}")
+    if n > _ORDER_CAP:
+        entry("L1", NOT_APPLICABLE, reason=f"order {n} above solver cap {_ORDER_CAP}")
         return LawReport(tuple(entries))
 
     rng = random.Random(seed)
@@ -402,11 +404,11 @@ def check_all(
     # L12: product lower bound, by default against the complete digraph of
     # order two to stay at desk scale.
     factor = second_factor if second_factor is not None else complete_digraph(2)
-    if n * factor.vertex_count > order_cap:
+    if n * factor.vertex_count > _ORDER_CAP:
         entry(
             "L12",
             NOT_APPLICABLE,
-            reason=f"product order {n * factor.vertex_count} above cap {order_cap}",
+            reason=f"product order {n * factor.vertex_count} above cap {_ORDER_CAP}",
         )
     elif not is_strong(factor):
         entry("L12", NOT_APPLICABLE, reason="second factor not strong")
@@ -422,7 +424,7 @@ def check_all(
         )
 
     # L13: line digraph value equals the strong-cover partition maximum.
-    line_cap = min(order_cap, arc_cap)
+    line_cap = min(_ORDER_CAP, _ARC_CAP)
     if n == 2 and m <= line_cap:
         # Below the order-three hypothesis the identity genuinely fails;
         # record the two values so the gate is visibly load-bearing.
@@ -464,9 +466,9 @@ def check_all(
     # L15: middle and total digraph bounds.
     if n < 3:
         entry("L15", NOT_APPLICABLE, reason="order below three")
-    elif n + m > order_cap:
+    elif n + m > _ORDER_CAP:
         entry(
-            "L15", NOT_APPLICABLE, reason=f"derived order {n + m} above cap {order_cap}"
+            "L15", NOT_APPLICABLE, reason=f"derived order {n + m} above cap {_ORDER_CAP}"
         )
     else:
         lv = solve(line_digraph(D)[0]).value

@@ -8,8 +8,11 @@ it searches k = 2, 3, ... below the cap and stops at the first infeasible
 size.  The search assigns items in fixed order with block-opening
 symmetry breaking, places an item at once when all blocks are open and
 only one is left to it, and cuts a subtree as soon as some block can no
-longer become strong (for arc blocks: a strong cover); see ``_search``.  Every returned witness is checked against the public
-predicates, and a failed check raises ``WitnessCheckError``.
+longer become strong (for arc blocks: a strong cover); see ``_search``.
+One function, ``_largest``, runs that search for all four maxima (the
+connected domatic number of ``undirected`` included), builds the witness
+from the engine's block labels and checks it against the public
+predicates; a failed check raises ``WitnessCheckError``.
 
 ``brute_force_oracle`` is the trust anchor: it enumerates every set
 partition outright and filters with the public predicates, sharing no
@@ -21,8 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
-from ._search import SearchCounter, arc_partition_search, largest_partition
-from ._search import partition_search
+from ._search import SearchCounter, arc_partition_search, largest_partition, partition_search
 from .core import (
     Digraph,
     NotStrongError,
@@ -86,14 +88,25 @@ def _require_strong(D: Digraph) -> None:
         raise NotStrongError(_NO_PARTITION_MSG)
 
 
-def _stats(counter: SearchCounter, start: float) -> SolveStats:
-    return SolveStats(
-        counter.nodes,
-        time.perf_counter() - start,
-        counter.strong_prunes,
-        counter.forced,
-        tuple(counter.probes),
+def _largest(D, search, cap: int, m: int, witness, predicate, what: str) -> SolveResult:
+    """The maximum over partitions of the m items of D, and its witness:
+    ``search(k, counter)`` yields the block labels of each partition into
+    exactly k blocks, counting nodes in ``counter``, and the first labels of
+    ``largest_partition`` become ``witness(labels, value)``, checked to hold
+    every item in one of ``value`` nonempty blocks and to pass
+    ``predicate(D, witness)``."""
+    start = time.perf_counter()
+    counter = SearchCounter()
+    labels = largest_partition(lambda k: search(k, counter), cap, (0,) * m, counter)
+    seconds = time.perf_counter() - start
+    stats = SolveStats(
+        counter.nodes, seconds, counter.strong_prunes, counter.forced, tuple(counter.probes)
     )
+    blocks = set(labels)
+    _check_witness(len(labels) == m and blocks == set(range(len(blocks))), what)
+    found = witness(labels, len(blocks))
+    _check_witness(predicate(D, found), what)
+    return SolveResult(len(blocks), found, stats)
 
 
 def search_cap(D: Digraph) -> int:
@@ -112,8 +125,8 @@ def strong_in_domatic_partitions(D: Digraph, k: int) -> Iterator[VertexPartition
     n = D.vertex_count
     if not (1 <= k <= n):
         raise ValueError(f"k={k} outside [1,{n}]")
-    for found in partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)):
-        yield VertexPartition.from_blocks(found)
+    for labels in partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)):
+        yield VertexPartition(labels, k)
 
 
 def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
@@ -130,22 +143,12 @@ def strong_in_domatic_number(D: Digraph) -> SolveResult:
     canonical witness.  Raises NotStrongError on non-strong input: such a
     digraph has no strong in-domatic partition at all."""
     _require_strong(D)
-    start = time.perf_counter()
-    counter = SearchCounter()
-    n = D.vertex_count
-    masks = (D.out_masks, D.in_masks)
-    found = largest_partition(
-        lambda k: partition_search(n, D.out_masks, k, masks, counter),
-        search_cap(D),
-        (range(n),),
-        counter,
+    n, masks = D.vertex_count, (D.out_masks, D.in_masks)
+    return _largest(
+        D, lambda k, counter: partition_search(n, D.out_masks, k, masks, counter),
+        search_cap(D), n, VertexPartition,
+        is_strong_in_domatic_partition, "strong in-domatic partition",
     )
-    witness = VertexPartition.from_blocks(found)
-    result = SolveResult(witness.block_count, witness, _stats(counter, start))
-    _check_witness(
-        is_strong_in_domatic_partition(D, result.witness), "strong in-domatic partition"
-    )
-    return result
 
 
 def strong_out_domatic_number(D: Digraph) -> SolveResult:
@@ -164,18 +167,11 @@ def in_domatic_number(D: Digraph) -> SolveResult:
     n = D.vertex_count
     if n == 0:
         raise ValueError("empty digraph")
-    start = time.perf_counter()
-    counter = SearchCounter()
-    found = largest_partition(
-        lambda k: partition_search(n, D.out_masks, k, None, counter),
-        min_out_degree(D) + 1,
-        (range(n),),
-        counter,
+    return _largest(
+        D, lambda k, counter: partition_search(n, D.out_masks, k, None, counter),
+        min_out_degree(D) + 1, n, VertexPartition,
+        is_in_domatic_partition, "in-domatic partition",
     )
-    witness = VertexPartition.from_blocks(found)
-    result = SolveResult(witness.block_count, witness, _stats(counter, start))
-    _check_witness(is_in_domatic_partition(D, result.witness), "in-domatic partition")
-    return result
 
 
 def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
@@ -196,19 +192,13 @@ def lambda_number(D: Digraph) -> SolveResult:
     if D.vertex_count < 2 or not D.arcs:
         raise ValueError("arc covers need a digraph with at least one arc")
     _require_strong(D)
-    start = time.perf_counter()
-    counter = SearchCounter()
-    cap = min(min_out_degree(D), min_in_degree(D))
     arcs = D.sorted_arcs()
-    found = largest_partition(
-        lambda k: arc_partition_search(D.vertex_count, arcs, k, counter), cap, (arcs,), counter
+    return _largest(
+        D, lambda k, counter: arc_partition_search(D.vertex_count, arcs, k, counter),
+        min(min_out_degree(D), min_in_degree(D)), len(arcs),
+        lambda labels, value: ArcPartition(tuple(zip(arcs, labels)), value),
+        is_strong_cover_partition, "partition into strong covers",
     )
-    witness = ArcPartition.from_blocks(found)
-    result = SolveResult(witness.block_count, witness, _stats(counter, start))
-    _check_witness(
-        is_strong_cover_partition(D, result.witness), "partition into strong covers"
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------

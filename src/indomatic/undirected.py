@@ -7,9 +7,10 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Tuple, Union
 
-from ._search import SearchCounter, largest_partition, partition_search
-from .core import Digraph, _dominates, _masks, _reaches, _require_subset
-from .solver import _check_witness
+from ._search import partition_search
+from .core import Digraph, _digraph_fault, _dominates, _masks, _reaches, _require_subset
+from .domination import VertexPartition, _block_masks
+from .solver import _largest
 
 
 @dataclass(frozen=True)
@@ -52,19 +53,14 @@ NO_DOMINATING_CLIQUE = NoDominatingClique()
 
 
 def make_ugraph(vertex_count: int, edges: Iterable[Tuple[int, int]]) -> UGraph:
-    if vertex_count < 0:
-        raise ValueError("vertex_count must be nonnegative")
-    normalized = set()
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-edge at {u} not allowed")
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside [0,{vertex_count})")
-        e = (min(u, v), max(u, v))
-        if e in normalized:
-            raise ValueError(f"duplicate edge {e}")
-        normalized.add(e)
-    return UGraph(vertex_count, frozenset(normalized))
+    """Build a validated graph.  Each edge becomes its sorted pair and the
+    pairs follow the digraph rules, so an edge given both ways is a
+    duplicate."""
+    pairs = [(min(u, v), max(u, v)) for u, v in edges]
+    fault = _digraph_fault(vertex_count, pairs)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return UGraph(vertex_count, frozenset(pairs))
 
 
 def underlying_graph(D: Digraph) -> UGraph:
@@ -139,25 +135,20 @@ def connected_domatic_number(G: UGraph):
     cap = min(mask.bit_count() for mask in masks) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
         cap = min(cap, vertex_connectivity(G))
-    counter = SearchCounter()
-    best = largest_partition(
+    result = _largest(
         # Connectivity is strongness of the symmetric neighbor relation.
-        lambda k: partition_search(n, masks, k, (masks, masks), counter),
-        cap,
-        (frozenset(range(n)),),
-        counter,
+        G, lambda k, counter: partition_search(n, masks, k, (masks, masks), counter),
+        cap, n, VertexPartition, _is_connected_domatic_partition, "connected domatic partition",
     )
-    # The blocks cover each vertex once, and each is nonempty, connected
-    # and dominating.
-    blocks = [sum(1 << v for v in block) for block in best]
-    _check_witness(
-        sorted(v for block in best for v in block) == list(range(n))
-        and all(
-            block and _connected_on(masks, block) and _dominates(masks, block) for block in blocks
-        ),
-        "connected domatic partition",
+    return result.value, result.witness.blocks()
+
+
+def _is_connected_domatic_partition(G: UGraph, P: VertexPartition) -> bool:
+    """Every block of P is connected and dominating."""
+    return all(
+        _connected_on(G.masks, block) and _dominates(G.masks, block)
+        for block in _block_masks(G, P)
     )
-    return len(best), best
 
 
 def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:

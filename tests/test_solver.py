@@ -247,8 +247,8 @@ class TestLambdaNumber:
         arcs = D.sorted_arcs()
         for k in range(1, len(arcs) + 1):
             found = [
-                ArcPartition.from_blocks(blocks)
-                for blocks in arc_partition_search(D.vertex_count, arcs, k)
+                ArcPartition(tuple(zip(arcs, labels)), k)
+                for labels in arc_partition_search(D.vertex_count, arcs, k)
             ]
             assert found == by_size.get(k, [])
         result = lambda_number(D)
@@ -288,10 +288,7 @@ class TestInDomaticNumber:
         # Without strong masks the cover check is the search's only pruning.
         n = D.vertex_count
         for k in range(1, n + 1):
-            found = [
-                VertexPartition.from_blocks(blocks)
-                for blocks in partition_search(n, D.out_masks, k)
-            ]
+            found = [VertexPartition(labels, k) for labels in partition_search(n, D.out_masks, k)]
             assert found == [
                 P
                 for P in partitions
@@ -453,10 +450,10 @@ class TestSolveStats:
 
 
 def ascending_ladder(search, whole):
-    """The first partition ``search(k)`` yields for the last k of
-    k = 2, 3, ... before the first that yields none, or ``whole``: the
-    largest feasible size, found with no cap, when feasible sizes form a
-    prefix."""
+    """The first labels ``search(k)`` yields for the last k of
+    k = 2, 3, ... before the first that yields none, or ``whole``, the
+    all-zero labels: the largest feasible size, found with no cap, when
+    feasible sizes form a prefix."""
     best, k = whole, 2
     while (found := next(search(k), None)) is not None:
         best, k = found, k + 1
@@ -471,21 +468,21 @@ class TestCapFirst:
         # D is strong.
         n, out_masks = D.vertex_count, D.out_masks
         strong = (out_masks, D.in_masks)
-        found = ascending_ladder(lambda k: partition_search(n, out_masks, k, strong), (range(n),))
-        assert strong_in_domatic_number(D).witness == VertexPartition.from_blocks(found)
-        found = ascending_ladder(lambda k: partition_search(n, out_masks, k), (range(n),))
-        assert in_domatic_number(D).witness == VertexPartition.from_blocks(found)
+        found = ascending_ladder(lambda k: partition_search(n, out_masks, k, strong), (0,) * n)
+        assert strong_in_domatic_number(D).witness == VertexPartition(found, max(found) + 1)
+        found = ascending_ladder(lambda k: partition_search(n, out_masks, k), (0,) * n)
+        assert in_domatic_number(D).witness == VertexPartition(found, max(found) + 1)
         if n >= 2:
             arcs = D.sorted_arcs()
-            found = ascending_ladder(lambda k: arc_partition_search(n, arcs, k), (arcs,))
-            assert lambda_number(D).witness == ArcPartition.from_blocks(found)
+            found = ascending_ladder(lambda k: arc_partition_search(n, arcs, k), (0,) * len(arcs))
+            Q = ArcPartition(tuple(zip(arcs, found)), max(found) + 1)
+            assert lambda_number(D).witness == Q
 
     def check_graph(self, G):
         masks, n = G.masks, G.vertex_count
-        found = ascending_ladder(
-            lambda k: partition_search(n, masks, k, (masks, masks)), (frozenset(range(n)),)
-        )
-        assert connected_domatic_number(G) == (len(found), found)
+        found = ascending_ladder(lambda k: partition_search(n, masks, k, (masks, masks)), (0,) * n)
+        P = VertexPartition(found, max(found) + 1)
+        assert connected_domatic_number(G) == (P.block_count, P.blocks())
 
     def test_every_strong_digraph_to_order_4(self):
         graphs = set()
@@ -508,6 +505,35 @@ class TestCapFirst:
     def test_gap_two(self):
         self.check(GAP_TWO)
         self.check_graph(underlying_graph(GAP_TWO))
+
+
+def is_restricted_growth(labels, k):
+    """The labels start at 0, none is more than one above every earlier
+    label, and exactly k are used."""
+    top = -1
+    for b in labels:
+        if b > top + 1:
+            return False
+        top = max(top, b)
+    return top == k - 1
+
+
+class TestSearchLabels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_labels_are_restricted_growth(self, n):
+        # Every partition either search yields, on every strong labeled
+        # digraph of order n and for every k.
+        for D in all_labeled_digraphs(n):
+            if not is_strong(D):
+                continue
+            arcs, strong = D.sorted_arcs(), (D.out_masks, D.in_masks)
+            for k in range(1, n + 1):
+                for strong_masks in (None, strong):
+                    for labels in partition_search(n, D.out_masks, k, strong_masks):
+                        assert len(labels) == n and is_restricted_growth(labels, k)
+            for k in range(1, len(arcs) + 1):
+                for labels in arc_partition_search(n, arcs, k):
+                    assert len(labels) == len(arcs) and is_restricted_growth(labels, k)
 
 
 class TestBruteForceOracle:

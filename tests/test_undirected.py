@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indomatic
-from indomatic import undirected
+from indomatic import solver
 from indomatic import (
     NO_DOMINATING_CLIQUE,
     WitnessCheckError,
@@ -66,6 +66,22 @@ class TestUnderlyingGraph:
 
     def test_antiparallel_merge(self, k2):
         assert len(underlying_graph(k2).edges) == 1
+
+
+class TestMakeUgraph:
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (-1, [], "vertex_count must be nonnegative"),
+            (3, [(0, 1), (1, 1)], r"^loop \(1,1\) not allowed$"),
+            (3, [(0, 3)], r"^arc \(0,3\) has an endpoint outside \[0,3\)$"),
+            # An edge given both ways is one edge given twice.
+            (3, [(0, 1), (1, 0)], r"^duplicate arc \(0,1\)$"),
+        ],
+    )
+    def test_rejected(self, n, edges, message):
+        with pytest.raises(ValueError, match=message):
+            make_ugraph(n, edges)
 
 
 class TestNeighborMasks:
@@ -146,16 +162,19 @@ class TestConnectedDomatic:
     @pytest.mark.parametrize(
         "witness",
         [
-            ({0}, {1, 2, 3}),  # {0} does not dominate 2 or 3
-            ({0, 2}, {1, 3}),  # both dominate, neither is connected
-            ({0, 1, 2},),  # 3 is left out
-            ({0, 1}, {1, 2, 3}),  # 1 is in two blocks
+            (0, 1, 1, 1),  # {0} does not dominate 2 or 3
+            (0, 1, 0, 1),  # both blocks dominate, neither is connected
+            (0, 0, 0),  # 3 is left out
+            (0, 0, 1, 1, 1),  # labels a fifth vertex
+            (0, 0, 2, 2),  # block 1 is empty
         ],
     )
     def test_failed_witness_raises(self, monkeypatch, witness):
         # A real check, not an assert: CI also runs this file under python -O.
-        bad = tuple(frozenset(block) for block in witness)
-        monkeypatch.setattr(undirected, "largest_partition", lambda *args: bad)
+        # The search's labels reach solver._largest through
+        # largest_partition; a malformed tuple is a failed check too, not a
+        # ValueError from VertexPartition.
+        monkeypatch.setattr(solver, "largest_partition", lambda *args: witness)
         with pytest.raises(WitnessCheckError):
             connected_domatic_number(path_graph(4))
 
