@@ -7,7 +7,9 @@ vertex partitions: vertex x needs itself or a member of ``cover[x]`` in
 every block, and ``viable`` is the induced-strong closure.
 ``arc_partition_search`` encodes arc partitions into strong covers: each
 vertex needs an out-arc and an in-arc in every block, and ``viable`` is the
-spanning-strong closure.
+spanning-strong closure.  The module holds only the engine and these two
+encodings: which k to search, and the check of each partition that
+decides a value, belong to ``solver``.
 
 Items go in fixed order and block j opens only once blocks 0..j-1 are
 open, so every set partition is visited once, blocks ordered by first
@@ -58,17 +60,15 @@ from .core import _strong_on
 
 class SearchCounter:
     """Mutable counters threaded through a search: nodes visited, subtrees
-    cut because a block could no longer become strong, items placed by
-    propagation instead of branching, and the ``(k, nodes, found)`` of each
-    search ``largest_partition`` ran."""
+    cut because a block could no longer become strong, and items placed by
+    propagation instead of branching."""
 
-    __slots__ = ("nodes", "strong_prunes", "forced", "probes")
+    __slots__ = ("nodes", "strong_prunes", "forced")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.strong_prunes = 0
         self.forced = 0
-        self.probes = []
 
 
 def _search(
@@ -260,38 +260,6 @@ def partition_search(
             )
 
     return _search(n, [cover[x] | 1 << x for x in range(n)], k, viable, counter)
-
-
-def largest_partition(
-    search: Callable[[int], Iterator[tuple]], cap: int, whole: tuple, counter: SearchCounter
-):
-    """First partition yielded by ``search(k)`` for the largest k <= cap that
-    yields one, or ``whole``, the all-zero labels of the one block, when no
-    k >= 2 does.  Feasible k must form a prefix, and the values of most
-    inputs sit at the cap, so k = cap is tried first: a partition there is
-    the answer.  Only when the cap fails are k = 2, 3, ... tried, up to the
-    first that fails and below the cap.
-    ``search`` must count its nodes in ``counter``; each search is recorded
-    in ``counter.probes`` as ``(k, nodes, found)``, in the order tried."""
-
-    def probe(k: int):
-        before = counter.nodes
-        found = next(search(k), None)
-        counter.probes.append((k, counter.nodes - before, found is not None))
-        return found
-
-    if cap < 2:
-        return whole
-    found = probe(cap)
-    if found is not None:
-        return found
-    best = whole
-    for k in range(2, cap):
-        found = probe(k)
-        if found is None:
-            break
-        best = found
-    return best
 
 
 def arc_partition_search(

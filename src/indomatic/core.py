@@ -237,6 +237,12 @@ def is_strong(D: Digraph) -> bool:
     return _strong_on(D.out_masks, D.in_masks, full, full)
 
 
+def _require_strong(D: Digraph, message: str) -> None:
+    """Raise ``NotStrongError(message)`` unless D is strong."""
+    if not is_strong(D):
+        raise NotStrongError(message)
+
+
 def is_strong_subset(D: Digraph, S) -> bool:
     """The subdigraph induced by the nonempty vertex set S is strong."""
     members = _require_subset(D, S)

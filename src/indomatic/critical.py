@@ -16,17 +16,15 @@ from typing import Optional, Tuple
 
 from .core import (
     Digraph,
-    NotStrongError,
     _bypassed,
+    _require_strong,
     _strong_on,
     delete_arc,
-    is_strong,
     stays_strong_without,
 )
 from .domination import VertexPartition, _block_masks, _diagnose
 from .solver import (
     WitnessCheckError,
-    _check_witness,
     exists_partition_into_k,
     search_cap,
     strong_in_domatic_number,
@@ -91,12 +89,12 @@ def deletion_profile(D: Digraph) -> DeletionProfile:
     3. k = value is decided for H when ``search_cap(H)`` allows it; the
        value is k when a partition exists and one less otherwise.
 
-    Every shortcut is certified by the predicate's block-mask check.  A missing
-    merge, a cap below the merge's bound or a search result that fails
-    the predicate raises ``WitnessCheckError``.
+    Every shortcut is certified by the predicate's block-mask check, and
+    the decision's partition by ``exists_partition_into_k`` itself.  A
+    missing merge, a cap below the merge's bound or a search result that
+    fails the predicate raises ``WitnessCheckError``.
     """
-    if not is_strong(D):
-        raise NotStrongError("deletion profiles are defined for strong digraphs")
+    _require_strong(D, "deletion profiles are defined for strong digraphs")
     witness = _block_masks(D, strong_in_domatic_number(D).witness)
     records = []
     for arc in D.sorted_arcs():
@@ -121,14 +119,9 @@ def _value_after(H: Digraph, witness: list, v: int) -> int:
     cap = search_cap(H)
     if cap < value - 1:
         raise WitnessCheckError(f"search cap {cap} is below the merge bound {value - 1}")
-    found = exists_partition_into_k(H, value) if cap >= value else None
-    if found is None:
-        return value - 1
-    _check_witness(
-        _diagnose(H.out_masks, H.in_masks, _block_masks(H, found)).ok,
-        "strong in-domatic partition",
-    )
-    return value
+    if cap >= value and exists_partition_into_k(H, value) is not None:
+        return value
+    return value - 1
 
 
 def first_failure(profile: DeletionProfile) -> Optional[str]:
@@ -183,8 +176,7 @@ def characterization_holds(D: Digraph) -> CharacterizationResult:
     """Rigidity of EVERY maximum partition, under the hypotheses: the
     digraph is strong with value at least two and every single-arc
     deletion preserves strongness."""
-    if not is_strong(D):
-        raise NotStrongError("characterization applies to strong digraphs")
+    _require_strong(D, "characterization applies to strong digraphs")
     breaking = (a for a in D.sorted_arcs() if not stays_strong_without(D, a))
     return characterize(D, strong_in_domatic_number(D).value, next(breaking, None))
 

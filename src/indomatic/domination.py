@@ -13,8 +13,8 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from .core import (
     Digraph,
-    NotStrongError,
     _dominates,
+    _require_strong,
     _require_subset,
     _strong_on,
     is_strong,
@@ -196,8 +196,7 @@ def in_dominating_vertices(D: Digraph) -> frozenset:
 
 def is_strong_cover(D: Digraph, E) -> bool:
     """E spans every vertex of D and its arc-induced subdigraph is strong."""
-    if not is_strong(D):
-        raise NotStrongError("strong covers are defined only for strong digraphs")
+    _require_strong(D, "strong covers are defined only for strong digraphs")
     E = frozenset(E)
     if not E:
         raise ValueError("arc set must be nonempty")
@@ -211,8 +210,7 @@ def is_strong_cover(D: Digraph, E) -> bool:
 
 def is_strong_cover_partition(D: Digraph, Q: ArcPartition) -> bool:
     """Every block of the arc partition is a strong cover."""
-    if not is_strong(D):
-        raise NotStrongError("strong covers are defined only for strong digraphs")
+    _require_strong(D, "strong covers are defined only for strong digraphs")
     if set(Q.mapping()) != set(D.arcs):
         raise ValueError("arc partition must cover exactly the digraph's arcs")
     # Each block is a nonempty set of D's arcs: ``is_strong_cover`` is its last line.

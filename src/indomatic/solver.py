@@ -2,17 +2,17 @@
 
 All four invariants are maxima over partitions whose feasible sizes form a
 prefix of 1..max (merging two blocks of a feasible partition stays
-feasible).  The solver first searches k = cap, the admissible cap, which
-most values reach: a partition there is the answer.  When the cap fails,
-it searches k = 2, 3, ... below the cap and stops at the first infeasible
-size.  The search assigns items in fixed order with block-opening
-symmetry breaking, places an item at once when all blocks are open and
-only one is left to it, and cuts a subtree as soon as some block can no
-longer become strong (for arc blocks: a strong cover); see ``_search``.
-One function, ``_largest``, runs that search for all four maxima (the
-connected domatic number of ``undirected`` included), builds the witness
-from the engine's block labels and checks it against the public
-predicates; a failed check raises ``WitnessCheckError``.
+feasible), so each is a ladder of decisions "is there a partition into
+exactly k blocks?".  The search behind a decision assigns items in fixed
+order with block-opening symmetry breaking, places an item at once when
+all blocks are open and only one is left to it, and cuts a subtree as
+soon as some block can no longer become strong (for arc blocks: a strong
+cover); see ``_search``.  One function, ``_largest``, climbs that ladder
+for all four maxima (the connected domatic number of ``undirected``
+included).  Every partition that decides a value, the maxima's witnesses
+and the one of ``exists_partition_into_k`` alike, passes one check,
+``_checked``, against the public predicates; a failed check raises
+``WitnessCheckError``.
 
 ``brute_force_oracle`` is the trust anchor: it enumerates every set
 partition outright and filters with the public predicates, sharing no
@@ -24,12 +24,12 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Union
 
-from ._search import SearchCounter, arc_partition_search, largest_partition, partition_search
+from ._search import SearchCounter, arc_partition_search, partition_search
 from .core import (
     Digraph,
     NotStrongError,
+    _require_strong,
     converse,
-    is_strong,
     min_in_degree,
     min_out_degree,
 )
@@ -83,30 +83,51 @@ def _check_witness(holds: bool, what: str) -> None:
         raise WitnessCheckError(f"solver witness is not a valid {what}")
 
 
-def _require_strong(D: Digraph) -> None:
-    if not is_strong(D):
-        raise NotStrongError(_NO_PARTITION_MSG)
+def _checked(D, labels: tuple, m: int, value: int, witness, predicate, what: str):
+    """``witness(labels, value)``, once ``labels`` puts each of the m items
+    of D in one of the blocks 0..value-1, using every one, and the witness
+    passes ``predicate(D, witness)``; ``WitnessCheckError`` otherwise."""
+    _check_witness(len(labels) == m and set(labels) == set(range(value)), what)
+    found = witness(labels, value)
+    _check_witness(predicate(D, found), what)
+    return found
 
 
 def _largest(D, search, cap: int, m: int, witness, predicate, what: str) -> SolveResult:
-    """The maximum over partitions of the m items of D, and its witness:
-    ``search(k, counter)`` yields the block labels of each partition into
-    exactly k blocks, counting nodes in ``counter``, and the first labels of
-    ``largest_partition`` become ``witness(labels, value)``, checked to hold
-    every item in one of ``value`` nonempty blocks and to pass
-    ``predicate(D, witness)``."""
+    """The maximum over partitions of the m items of D into blocks whose
+    feasible counts form a prefix, with its witness: the first labels
+    yielded by ``search(k, counter)``, which counts its nodes in
+    ``counter``, for the largest feasible k <= cap, passed to ``_checked``.
+
+    The values of most inputs sit at the cap, so k = cap is searched
+    first: a partition there is the answer.  Only when the cap fails are
+    k = 2, 3, ... searched, up to the first that fails and below the cap.
+    When no k >= 2 has a partition, the witness is the one block (all-zero
+    labels).  Each search is recorded in ``SolveStats.probes`` as
+    ``(k, nodes, found)``, in the order tried."""
     start = time.perf_counter()
     counter = SearchCounter()
-    labels = largest_partition(lambda k: search(k, counter), cap, (0,) * m, counter)
+    probes = []
+
+    def probe(k: int):
+        before = counter.nodes
+        found = next(search(k, counter), None)
+        probes.append((k, counter.nodes - before, found is not None))
+        return found
+
+    value, labels = 1, (0,) * m
+    found = probe(cap) if cap >= 2 else None
+    if found is not None:
+        value, labels = cap, found
+    else:
+        for k in range(2, cap):
+            found = probe(k)
+            if found is None:
+                break
+            value, labels = k, found
     seconds = time.perf_counter() - start
-    stats = SolveStats(
-        counter.nodes, seconds, counter.strong_prunes, counter.forced, tuple(counter.probes)
-    )
-    blocks = set(labels)
-    _check_witness(len(labels) == m and blocks == set(range(len(blocks))), what)
-    found = witness(labels, len(blocks))
-    _check_witness(predicate(D, found), what)
-    return SolveResult(len(blocks), found, stats)
+    stats = SolveStats(counter.nodes, seconds, counter.strong_prunes, counter.forced, tuple(probes))
+    return SolveResult(value, _checked(D, labels, m, value, witness, predicate, what), stats)
 
 
 def search_cap(D: Digraph) -> int:
@@ -117,36 +138,58 @@ def search_cap(D: Digraph) -> int:
     return delta + 1 if in_dominating_vertices(D) else delta
 
 
+def _strong_in_domatic_search(
+    D: Digraph, k: int, counter: Optional[SearchCounter] = None
+) -> Iterator[tuple]:
+    """The block labels of every strong in-domatic partition of D with
+    exactly k blocks, in canonical order: the one encoding behind the
+    number, the partitions and the decision."""
+    return partition_search(D.vertex_count, D.out_masks, k, (D.out_masks, D.in_masks), counter)
+
+
+def _require_block_count(D: Digraph, k: int) -> None:
+    """The preconditions of a strong in-domatic partition into exactly k
+    blocks: D is strong and 1 <= k <= its order."""
+    _require_strong(D, _NO_PARTITION_MSG)
+    n = D.vertex_count
+    if not (1 <= k <= n):
+        raise ValueError(f"k={k} outside [1,{n}]")
+
+
 def strong_in_domatic_partitions(D: Digraph, k: int) -> Iterator[VertexPartition]:
     """Every strong in-domatic partition of D with exactly k blocks, each
     once, blocks ordered by minimum member; the first is the canonical
     witness for k."""
-    _require_strong(D)
-    n = D.vertex_count
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} outside [1,{n}]")
-    for labels in partition_search(n, D.out_masks, k, (D.out_masks, D.in_masks)):
+    _require_block_count(D, k)
+    for labels in _strong_in_domatic_search(D, k):
         yield VertexPartition(labels, k)
 
 
 def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:
-    """A strong in-domatic partition with exactly k blocks, or None.
+    """The canonical strong in-domatic partition with exactly k blocks,
+    checked as every solver witness is, or None.
 
     Because the feasible k form a prefix, absence here certifies absence
     for every larger k as well.
     """
-    return next(strong_in_domatic_partitions(D, k), None)
+    _require_block_count(D, k)
+    labels = next(_strong_in_domatic_search(D, k), None)
+    if labels is None:
+        return None
+    return _checked(
+        D, labels, D.vertex_count, k, VertexPartition,
+        is_strong_in_domatic_partition, "strong in-domatic partition",
+    )
 
 
 def strong_in_domatic_number(D: Digraph) -> SolveResult:
     """Maximum number of blocks over strong in-domatic partitions, with a
     canonical witness.  Raises NotStrongError on non-strong input: such a
     digraph has no strong in-domatic partition at all."""
-    _require_strong(D)
-    n, masks = D.vertex_count, (D.out_masks, D.in_masks)
+    _require_strong(D, _NO_PARTITION_MSG)
     return _largest(
-        D, lambda k, counter: partition_search(n, D.out_masks, k, masks, counter),
-        search_cap(D), n, VertexPartition,
+        D, lambda k, counter: _strong_in_domatic_search(D, k, counter),
+        search_cap(D), D.vertex_count, VertexPartition,
         is_strong_in_domatic_partition, "strong in-domatic partition",
     )
 
@@ -191,7 +234,7 @@ def lambda_number(D: Digraph) -> SolveResult:
     and an in-arc, so the cap is the smaller minimum degree."""
     if D.vertex_count < 2 or not D.arcs:
         raise ValueError("arc covers need a digraph with at least one arc")
-    _require_strong(D)
+    _require_strong(D, _NO_PARTITION_MSG)
     arcs = D.sorted_arcs()
     return _largest(
         D, lambda k, counter: arc_partition_search(D.vertex_count, arcs, k, counter),
@@ -246,10 +289,10 @@ def brute_force_oracle(D: Digraph, which: str) -> int:
                 f"oracle handles 1 to {ORACLE_VERTEX_CAP} vertices, got {D.vertex_count}"
             )
         if which == "dsminus":
-            _require_strong(D)
+            _require_strong(D, _NO_PARTITION_MSG)
             predicate = is_strong_in_domatic_partition
         elif which == "dsplus":
-            _require_strong(D)
+            _require_strong(D, _NO_PARTITION_MSG)
             predicate = is_strong_out_domatic_partition
         else:
             predicate = is_in_domatic_partition
@@ -268,7 +311,7 @@ def brute_force_oracle(D: Digraph, which: str) -> int:
             raise ValueError(
                 f"oracle handles at most {ORACLE_ARC_CAP} arcs, got {len(D.arcs)}"
             )
-        _require_strong(D)
+        _require_strong(D, _NO_PARTITION_MSG)
         if not D.arcs:
             raise ValueError("lambda needs at least one arc")
         best = 0

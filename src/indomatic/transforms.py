@@ -13,8 +13,7 @@ from typing import Dict, Tuple, Union
 
 from .core import (
     Digraph,
-    NotStrongError,
-    is_strong,
+    _require_strong,
     make_digraph,
 )
 from .domination import VertexPartition, is_strong_in_domatic_partition
@@ -177,8 +176,8 @@ def lift_product_partition(P: VertexPartition, D: Digraph, H: Digraph) -> Vertex
     Both factors must be strong; the output is itself a strong in-domatic
     partition of ``cartesian_product(D, H)``.
     """
-    if not (is_strong(D) and is_strong(H)):
-        raise NotStrongError("both factors must be strong to lift a partition")
+    for factor in (D, H):
+        _require_strong(factor, "both factors must be strong to lift a partition")
     if not is_strong_in_domatic_partition(D, P):
         raise ValueError("input partition is not strong in-domatic on the first factor")
     nh = H.vertex_count
@@ -196,8 +195,7 @@ def composition_partition(spec: CompositionSpec) -> VertexPartition:
     follow ``composition``'s order, part by part in host-vertex order."""
     if spec.host.vertex_count < 2:
         raise ValueError("host must be nontrivial")
-    if not is_strong(spec.host):
-        raise NotStrongError("host must be strong")
+    _require_strong(spec.host, "host must be strong")
     n = min(part.vertex_count for part in spec.parts)
     block_of = tuple(min(pv, n - 1) for part in spec.parts for pv in range(part.vertex_count))
     return VertexPartition(block_of, n)
@@ -207,8 +205,7 @@ def _check_lift(P: VertexPartition, D: Digraph, construction: str) -> None:
     """The preconditions shared by the lifts onto a construction on D."""
     if D.vertex_count < 3:
         raise ValueError(f"{construction} lift needs order at least three")
-    if not is_strong(D):
-        raise NotStrongError("base digraph must be strong")
+    _require_strong(D, "base digraph must be strong")
     if not is_strong_in_domatic_partition(line_digraph(D)[0], P):
         raise ValueError("input partition is not strong in-domatic on the line digraph")
 

@@ -9,7 +9,7 @@ from typing import Iterable, Tuple, Union
 
 from ._search import partition_search
 from .core import Digraph, _digraph_fault, _dominates, _masks, _reaches, _require_subset
-from .domination import VertexPartition, _block_masks
+from .domination import VertexPartition, _block_masks, _diagnose
 from .solver import _largest
 
 
@@ -135,20 +135,15 @@ def connected_domatic_number(G: UGraph):
     cap = min(mask.bit_count() for mask in masks) + 1 if n > 1 else 1
     if n > 1 and len(G.edges) < n * (n - 1) // 2:
         cap = min(cap, vertex_connectivity(G))
+    # Domination and connectivity are in-domination and strongness of the
+    # symmetric neighbor relation.
     result = _largest(
-        # Connectivity is strongness of the symmetric neighbor relation.
         G, lambda k, counter: partition_search(n, masks, k, (masks, masks), counter),
-        cap, n, VertexPartition, _is_connected_domatic_partition, "connected domatic partition",
+        cap, n, VertexPartition,
+        lambda _, P: _diagnose(masks, masks, _block_masks(G, P)).ok,
+        "connected domatic partition",
     )
     return result.value, result.witness.blocks()
-
-
-def _is_connected_domatic_partition(G: UGraph, P: VertexPartition) -> bool:
-    """Every block of P is connected and dominating."""
-    return all(
-        _connected_on(G.masks, block) and _dominates(G.masks, block)
-        for block in _block_masks(G, P)
-    )
 
 
 def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:

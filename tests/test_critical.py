@@ -26,7 +26,7 @@ from indomatic import (
     stays_strong_without,
     strong_in_domatic_number,
 )
-from indomatic import critical
+from indomatic import critical, solver
 from indomatic.cli import main
 from indomatic.critical import (
     FAILS,
@@ -166,10 +166,15 @@ class TestProfileFromWitness:
 
     def test_invalid_search_result_raises(self, monkeypatch):
         # order_value_family(5, 2) has deletions whose value needs a search.
-        bogus = VertexPartition.from_blocks([[0], [1, 2, 3, 4]])
-        monkeypatch.setattr(critical, "exists_partition_into_k", lambda H, k: bogus)
+        # D's own solve is fixed first; then every search yields the planted
+        # labels, a well-formed partition into the k = 2 blocks {0} and
+        # {1, 2, 3, 4} that is not strong in-domatic after the deletion.
+        D = order_value_family(5, 2).digraph
+        solved = strong_in_domatic_number(D)
+        monkeypatch.setattr(critical, "strong_in_domatic_number", lambda G: solved)
+        monkeypatch.setattr(solver, "partition_search", lambda *args: iter([(0, 1, 1, 1, 1)]))
         with pytest.raises(WitnessCheckError):
-            deletion_profile(order_value_family(5, 2).digraph)
+            deletion_profile(D)
 
 
 class TestLargeProfiles:

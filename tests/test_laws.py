@@ -197,8 +197,9 @@ class TestCheckAll:
         report = check_all(big)
         assert report.entries[0].status == NOT_APPLICABLE
 
-    def test_second_factor(self, k2, c3):
-        report = check_all(c3, second_factor=k2)
+    def test_second_factor(self, c3):
+        # L12's second factor is K2*: the product with C3 has order 6.
+        report = check_all(c3)
         assert statuses(report)["L12"] == HOLDS
 
 

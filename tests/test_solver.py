@@ -103,6 +103,22 @@ class TestExistsPartitionIntoK:
         with pytest.raises(ValueError):
             exists_partition_into_k(k3, 4)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (0, 1, 1, 1, 1),  # well-formed, but {0} does not in-dominate 1
+            (0, 0, 2, 2, 2),  # block 1 is empty
+            (0, 1, 1, 1),  # vertex 4 is left out
+        ],
+    )
+    def test_planted_partition_raises(self, monkeypatch, c5, labels):
+        # The decision's partition passes the solver's real check, also
+        # under python -O: a malformed tuple is a failed check too, not a
+        # ValueError from VertexPartition.
+        monkeypatch.setattr(solver, "partition_search", lambda *args: iter([labels]))
+        with pytest.raises(WitnessCheckError):
+            exists_partition_into_k(c5, 2)
+
     @settings(max_examples=25, deadline=None)
     @given(strong_digraphs(max_n=5))
     def test_prefix_property(self, D):

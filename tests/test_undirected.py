@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indomatic
-from indomatic import solver
+from indomatic import undirected
 from indomatic import (
     NO_DOMINATING_CLIQUE,
     WitnessCheckError,
@@ -162,7 +162,7 @@ class TestConnectedDomatic:
     @pytest.mark.parametrize(
         "witness",
         [
-            (0, 1, 1, 1),  # {0} does not dominate 2 or 3
+            (0, 1, 1, 1),  # {0} does not dominate 2
             (0, 1, 0, 1),  # both blocks dominate, neither is connected
             (0, 0, 0),  # 3 is left out
             (0, 0, 1, 1, 1),  # labels a fifth vertex
@@ -171,12 +171,12 @@ class TestConnectedDomatic:
     )
     def test_failed_witness_raises(self, monkeypatch, witness):
         # A real check, not an assert: CI also runs this file under python -O.
-        # The search's labels reach solver._largest through
-        # largest_partition; a malformed tuple is a failed check too, not a
-        # ValueError from VertexPartition.
-        monkeypatch.setattr(solver, "largest_partition", lambda *args: witness)
+        # The cap of C4 is kappa = 2, so one search runs, at k = 2, and the
+        # planted labels are its answer; a malformed tuple is a failed check
+        # too, not a ValueError from VertexPartition.
+        monkeypatch.setattr(undirected, "partition_search", lambda *args: iter([witness]))
         with pytest.raises(WitnessCheckError):
-            connected_domatic_number(path_graph(4))
+            connected_domatic_number(cycle_graph(4))
 
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=6))
