@@ -83,8 +83,6 @@ from .transforms import (
     total,
 )
 from .undirected import (
-    NO_DOMINATING_CLIQUE,
-    NoDominatingClique,
     UGraph,
     clique_domination_number,
     connected_domatic_number,

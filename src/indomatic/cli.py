@@ -35,7 +35,6 @@ from .solver import (
     strong_out_domatic_number,
 )
 from .undirected import (
-    NO_DOMINATING_CLIQUE,
     clique_domination_number,
     connected_domatic_number,
     is_connected,
@@ -73,29 +72,29 @@ def _write_text(path: str, text: str) -> None:
 # compute
 
 
+# The exact maxima: each returns a SolveResult.
+_MAXIMA = {
+    "dsminus": strong_in_domatic_number,
+    "dsplus": strong_out_domatic_number,
+    "lambda": lambda_number,
+    "indomatic": in_domatic_number,
+    "dc": lambda D: connected_domatic_number(underlying_graph(D)),
+}
+
+
 def cmd_compute(args) -> int:
     D = _read_digraph(args.infile)
     what = args.what
     witness_text = None
-    if what in ("dsminus", "dsplus", "lambda", "indomatic"):
+    if what in _MAXIMA:
         if what == "lambda" and (D.vertex_count < 2 or not D.arcs):
             raise Inapplicable("arc covers need a digraph with at least one arc")
-        result = {
-            "dsminus": strong_in_domatic_number,
-            "dsplus": strong_out_domatic_number,
-            "lambda": lambda_number,
-            "indomatic": in_domatic_number,
-        }[what](D)
+        if what == "dc" and not is_connected(underlying_graph(D)):
+            raise Inapplicable("connected domatic number needs a connected underlying graph")
+        result = _MAXIMA[what](D)
         value = result.value
         write = fileio.write_arc_partition if what == "lambda" else fileio.write_partition
         witness_text = write(result.witness)
-    elif what == "dc":
-        G = underlying_graph(D)
-        if not is_connected(G):
-            raise Inapplicable("connected domatic number needs a connected underlying graph")
-        value, blocks = connected_domatic_number(G)
-        lines = [" ".join(str(v) for v in sorted(b)) for b in blocks]
-        witness_text = "\n".join(lines) + "\n"
     elif what == "kappa":
         G = underlying_graph(D)
         if G.vertex_count < 2 or not is_connected(G):
@@ -105,11 +104,10 @@ def cmd_compute(args) -> int:
         value = vertex_connectivity(G)
     elif what == "gammacl":
         G = underlying_graph(D)
-        result = clique_domination_number(G)
-        if result is NO_DOMINATING_CLIQUE:
+        value = clique_domination_number(G)
+        if value is None:
             print("none")
             return EXIT_OK
-        value = result
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown invariant {what!r}")
     print(value)
@@ -302,6 +300,9 @@ def cmd_oracle(args) -> int:
         raise Inapplicable("exhaustive scan supports orders 3 and 4")
     if args.up_to > ORACLE_VERTEX_CAP:
         raise Inapplicable(f"oracle cross-checks are capped at order {ORACLE_VERTEX_CAP}")
+    low = args.max_n + 1
+    if args.random and low > args.up_to:
+        raise Inapplicable("--up-to must exceed --max-n for random instances")
     scanned = strong = mismatches = lambda_checked = 0
     for D in families.all_labeled_digraphs(args.max_n):
         scanned += 1
@@ -319,9 +320,6 @@ def cmd_oracle(args) -> int:
     random_checked = 0
     if args.random:
         rng = Random(args.seed)
-        low = args.max_n + 1
-        if low > args.up_to:
-            raise Inapplicable("--up-to must exceed --max-n for random instances")
         while random_checked < args.random:
             order = rng.randint(low, args.up_to)
             D = families.random_strong_digraph(order, rng)

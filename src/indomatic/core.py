@@ -25,15 +25,13 @@ Arc = Tuple[int, int]
 class Digraph:
     """Immutable loopless simple directed graph.
 
-    ``labels`` is cosmetic display text per vertex; it never affects any
-    computation.  ``out_masks`` and ``in_masks`` are computed once per
-    instance, on first use; they are not fields, so equality, hashing and
-    ``repr`` ignore them.
+    ``out_masks`` and ``in_masks`` are computed once per instance, on
+    first use; they are not fields, so equality, hashing and ``repr``
+    ignore them.
     """
 
     vertex_count: int
     arcs: frozenset
-    labels: Optional[tuple] = None
 
     @property
     def arc_count(self) -> int:
@@ -56,7 +54,7 @@ class Digraph:
         return f"Digraph(n={self.vertex_count}, m={len(self.arcs)})"
 
 
-def make_digraph(vertex_count: int, arcs: Iterable[Arc], labels=None) -> Digraph:
+def make_digraph(vertex_count: int, arcs: Iterable[Arc]) -> Digraph:
     """Build a validated digraph.
 
     Rejects loops, endpoints outside ``[0, vertex_count)`` and duplicate
@@ -67,11 +65,7 @@ def make_digraph(vertex_count: int, arcs: Iterable[Arc], labels=None) -> Digraph
     fault = _digraph_fault(vertex_count, arc_list)
     if fault is not None:
         raise ValueError(fault[1])
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != vertex_count:
-            raise ValueError("labels must cover every vertex")
-    return Digraph(vertex_count, frozenset(arc_list), labels)
+    return Digraph(vertex_count, frozenset(arc_list))
 
 
 def _digraph_fault(vertex_count: int, arcs: Sequence[Arc]) -> Optional[tuple]:
@@ -201,8 +195,7 @@ def induced_subdigraph(D: Digraph, S) -> tuple:
         _check_vertex(D, v)
     index = {old: new for new, old in enumerate(members)}
     arcs = [(index[u], index[v]) for u, v in D.arcs if u in index and v in index]
-    labels = None if D.labels is None else tuple(D.labels[old] for old in members)
-    return make_digraph(len(members), arcs, labels), tuple(members)
+    return make_digraph(len(members), arcs), tuple(members)
 
 
 def arc_induced_subdigraph(D: Digraph, E) -> tuple:
@@ -221,8 +214,7 @@ def arc_induced_subdigraph(D: Digraph, E) -> tuple:
     members = sorted({u for u, _ in arcs} | {v for _, v in arcs})
     index = {old: new for new, old in enumerate(members)}
     new_arcs = [(index[u], index[v]) for u, v in arcs]
-    labels = None if D.labels is None else tuple(D.labels[old] for old in members)
-    return make_digraph(len(members), new_arcs, labels), tuple(members)
+    return make_digraph(len(members), new_arcs), tuple(members)
 
 
 def is_strong(D: Digraph) -> bool:
@@ -284,7 +276,7 @@ def is_symmetric_arc(D: Digraph, arc: Arc) -> bool:
 
 def converse(D: Digraph) -> Digraph:
     """Reverse every arc."""
-    return make_digraph(D.vertex_count, [(v, u) for u, v in D.arcs], D.labels)
+    return make_digraph(D.vertex_count, [(v, u) for u, v in D.arcs])
 
 
 def delete_arc(D: Digraph, arc: Arc) -> Digraph:
@@ -292,7 +284,7 @@ def delete_arc(D: Digraph, arc: Arc) -> Digraph:
     u, v = arc
     if (u, v) not in D.arcs:
         raise ValueError(f"({u},{v}) is not an arc of the digraph")
-    return Digraph(D.vertex_count, D.arcs - {(u, v)}, D.labels)
+    return Digraph(D.vertex_count, D.arcs - {(u, v)})
 
 
 def are_isomorphic(D: Digraph, H: Digraph) -> bool:

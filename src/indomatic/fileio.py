@@ -121,18 +121,13 @@ def write_dot(D: Digraph, tags: Optional[tuple] = None) -> str:
     """DOT export; with tags, vertices carry their origin as the label."""
     lines = ["digraph G {"]
     for v in range(D.vertex_count):
-        label = None
-        if tags is not None:
-            tag = tags[v]
-            if isinstance(tag, TaggedVertex):
-                label = (
-                    f"v{tag.payload}"
-                    if tag.kind == "vertex"
-                    else f"a({tag.payload[0]},{tag.payload[1]})"
-                )
-        elif D.labels is not None:
-            label = D.labels[v]
-        if label is not None:
+        tag = None if tags is None else tags[v]
+        if isinstance(tag, TaggedVertex):
+            label = (
+                f"v{tag.payload}"
+                if tag.kind == "vertex"
+                else f"a({tag.payload[0]},{tag.payload[1]})"
+            )
             lines.append(f'  {v} [label="{label}"];')
         else:
             lines.append(f"  {v};")

@@ -5,12 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Optional, Tuple
 
 from ._search import partition_search
 from .core import Digraph, _digraph_fault, _dominates, _masks, _reaches, _require_subset
 from .domination import VertexPartition, _block_masks, _diagnose
-from .solver import _largest
+from .solver import SolveResult, _largest
 
 
 @dataclass(frozen=True)
@@ -32,24 +32,6 @@ class UGraph:
 
     def __repr__(self) -> str:
         return f"UGraph(n={self.vertex_count}, m={len(self.edges)})"
-
-
-class NoDominatingClique:
-    """Result marker: no vertex set of the graph is simultaneously a clique
-    and a dominating set."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoDominatingClique"
-
-
-NO_DOMINATING_CLIQUE = NoDominatingClique()
 
 
 def make_ugraph(vertex_count: int, edges: Iterable[Tuple[int, int]]) -> UGraph:
@@ -115,9 +97,10 @@ def vertex_connectivity(G: UGraph) -> int:
     return n - 1
 
 
-def connected_domatic_number(G: UGraph):
+def connected_domatic_number(G: UGraph) -> SolveResult:
     """Largest k such that the vertices split into k connected dominating
-    sets, along with a witness partition (tuple of frozensets).
+    sets, as a ``SolveResult``: the value, a witness ``VertexPartition``
+    and the ``SolveStats`` of the searches.
 
     Merging blocks of such a partition preserves the property (each block
     dominates, so its vertices all touch any other block), hence the
@@ -137,18 +120,17 @@ def connected_domatic_number(G: UGraph):
         cap = min(cap, vertex_connectivity(G))
     # Domination and connectivity are in-domination and strongness of the
     # symmetric neighbor relation.
-    result = _largest(
+    return _largest(
         G, lambda k, counter: partition_search(n, masks, k, (masks, masks), counter),
         cap, n, VertexPartition,
         lambda _, P: _diagnose(masks, masks, _block_masks(G, P)).ok,
         "connected domatic partition",
     )
-    return result.value, result.witness.blocks()
 
 
-def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:
-    """Minimum size of a dominating clique, or the NoDominatingClique
-    marker when no clique dominates."""
+def clique_domination_number(G: UGraph) -> Optional[int]:
+    """Minimum size of a dominating clique, or None when no clique
+    dominates."""
     n = G.vertex_count
     if n == 0:
         raise ValueError("empty graph")
@@ -156,7 +138,7 @@ def clique_domination_number(G: UGraph) -> Union[int, NoDominatingClique]:
         for S in combinations(range(n), size):
             if is_clique(G, S) and is_dominating_set(G, S):
                 return size
-    return NO_DOMINATING_CLIQUE
+    return None
 
 
 def is_planar(G: UGraph) -> bool:

@@ -8,6 +8,7 @@ from indomatic import (
     directed_cycle,
     make_digraph,
 )
+from indomatic import cli
 from indomatic.cli import main
 from indomatic.fileio import parse_digraph, parse_partition, write_digraph
 
@@ -75,6 +76,23 @@ class TestCompute:
         assert capsys.readouterr().out.strip() == "1"
         assert run("compute", "--in", path, "--what", "dc") == 0
         assert capsys.readouterr().out.splitlines()[0] == "4"
+
+    @pytest.mark.parametrize(
+        "digraph, value, witness",
+        [
+            (directed_cycle(4), "2\n", "0 1\n2 3\n"),
+            (complete_digraph(4), "4\n", "0\n1\n2\n3\n"),
+        ],
+    )
+    def test_dc_witness_bytes(self, workdir, capsys, digraph, value, witness):
+        tmp, save = workdir
+        path = save("d.dg", digraph)
+        assert run("compute", "--in", path, "--what", "dc") == 0
+        assert capsys.readouterr().out == value + witness
+        out = tmp / "w.part"
+        assert run("compute", "--in", path, "--what", "dc", "--witness-out", str(out)) == 0
+        assert capsys.readouterr().out == value
+        assert out.read_text() == witness
 
     def test_gammacl_absent(self, workdir, capsys):
         _, save = workdir
@@ -379,3 +397,13 @@ class TestOracleCommand:
 
     def test_cap(self, capsys):
         assert run("oracle", "--max-n", "5") == 3
+
+    def test_random_bounds_checked_before_the_scan(self, monkeypatch, capsys):
+        def no_scan(n):
+            raise AssertionError("scanned before checking --up-to")
+
+        monkeypatch.setattr(cli.families, "all_labeled_digraphs", no_scan)
+        assert run("oracle", "--max-n", "4", "--random", "1", "--up-to", "4") == 3
+        assert capsys.readouterr().err == (
+            "not applicable: --up-to must exceed --max-n for random instances\n"
+        )

@@ -498,7 +498,7 @@ class TestCapFirst:
         masks, n = G.masks, G.vertex_count
         found = ascending_ladder(lambda k: partition_search(n, masks, k, (masks, masks)), (0,) * n)
         P = VertexPartition(found, max(found) + 1)
-        assert connected_domatic_number(G) == (P.block_count, P.blocks())
+        assert connected_domatic_number(G).witness == P
 
     def test_every_strong_digraph_to_order_4(self):
         graphs = set()

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import indomatic
 from indomatic import undirected
 from indomatic import (
-    NO_DOMINATING_CLIQUE,
     WitnessCheckError,
     clique_domination_number,
     complete_digraph,
@@ -143,17 +142,22 @@ class TestVertexConnectivity:
 
 class TestConnectedDomatic:
     def test_complete4(self):
-        value, _ = connected_domatic_number(complete_graph(4))
-        assert value == 4
+        assert connected_domatic_number(complete_graph(4)).value == 4
 
     def test_single_vertex(self):
-        value, blocks = connected_domatic_number(make_ugraph(1, []))
-        assert value == 1 and blocks == (frozenset([0]),)
+        result = connected_domatic_number(make_ugraph(1, []))
+        assert result.value == 1 and result.witness.blocks() == (frozenset([0]),)
 
     def test_cycle4(self):
         # Brute force over all partitions of 4 vertices gives 2.
-        value, _ = connected_domatic_number(cycle_graph(4))
-        assert value == 2
+        assert connected_domatic_number(cycle_graph(4)).value == 2
+
+    def test_cycle4_stats(self):
+        # kappa(C4) = 2 is the cap: one search, at k = 2, finds a partition.
+        stats = connected_domatic_number(cycle_graph(4)).stats
+        assert len(stats.probes) == 1
+        k, nodes, found = stats.probes[0]
+        assert (k, found) == (2, True) and nodes == stats.nodes
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +185,8 @@ class TestConnectedDomatic:
     @settings(max_examples=30, deadline=None)
     @given(connected_graphs(max_n=6))
     def test_witness_and_connectivity_bound(self, G):
-        value, blocks = connected_domatic_number(G)
+        result = connected_domatic_number(G)
+        value, blocks = result.value, result.witness.blocks()
         assert len(blocks) == value
         for block in blocks:
             assert is_dominating_set(G, block)
@@ -198,7 +203,8 @@ class TestConnectedDomatic:
                 is_connected_subset(G, b) and is_dominating_set(G, b) for b in blocks
             ):
                 best = blocks
-        value, witness = connected_domatic_number(G)
+        result = connected_domatic_number(G)
+        value, witness = result.value, result.witness.blocks()
         assert value == len(best) == len(witness)
         for block in witness:
             assert is_connected_subset(G, block) and is_dominating_set(G, block)
@@ -225,7 +231,7 @@ class TestCliqueDomination:
     def test_five_cycle_has_none(self):
         # Exhausting every clique of the 5-cycle (vertices and edges only)
         # finds no dominating one.
-        assert clique_domination_number(cycle_graph(5)) is NO_DOMINATING_CLIQUE
+        assert clique_domination_number(cycle_graph(5)) is None
 
     def test_star_center(self):
         star = make_ugraph(4, [(0, 1), (0, 2), (0, 3)])
