@@ -83,8 +83,10 @@ _MAXIMA = {
 
 
 def cmd_compute(args) -> int:
-    D = _read_digraph(args.infile)
     what = args.what
+    if args.witness_out and what not in _MAXIMA:
+        raise Inapplicable(f"{what} has no witness to write")
+    D = _read_digraph(args.infile)
     witness_text = None
     if what in _MAXIMA:
         if what == "lambda" and (D.vertex_count < 2 or not D.arcs):
@@ -143,41 +145,42 @@ def cmd_verify(args) -> int:
 # transform
 
 
+# Each op: its builder, called with D and the --with digraphs and
+# returning (digraph, origins); how many --with digraphs it takes (None:
+# one per vertex of D); and the error when it gets another number.
+_NO_WITH = "{op} takes no --with digraph, got {got}"
+_TRANSFORMS = {
+    "line": (transforms.line_digraph, 0, _NO_WITH),
+    "subdivision": (transforms.subdivision, 0, _NO_WITH),
+    "root": (transforms.root, 0, _NO_WITH),
+    "middle": (transforms.middle, 0, _NO_WITH),
+    "total": (transforms.total, 0, _NO_WITH),
+    "converse": (lambda D: (converse(D), None), 0, _NO_WITH),
+    "product": (transforms.cartesian_product, 1, "product needs exactly one --with digraph"),
+    "compose": (
+        lambda D, *parts: transforms.composition(transforms.CompositionSpec.of(D, parts)),
+        None,
+        "compose needs one --with digraph per host vertex ({need}), got {got}",
+    ),
+}
+# The ops whose vertices include D's arcs.
+_ARC_OPS = ("line", "subdivision", "root", "middle", "total")
+
+
 def cmd_transform(args) -> int:
     D = _read_digraph(args.infile)
     extra = [_read_digraph(path) for path in args.with_files or []]
     op = args.op
-    tags = None
-    if op in ("product", "compose"):
-        if op == "product":
-            if len(extra) != 1:
-                raise ParseError("product needs exactly one --with digraph")
-            out, _ = transforms.cartesian_product(D, extra[0])
-        else:
-            if len(extra) != D.vertex_count:
-                raise ParseError(
-                    f"compose needs one --with digraph per host vertex "
-                    f"({D.vertex_count}), got {len(extra)}"
-                )
-            out, _ = transforms.composition(transforms.CompositionSpec.of(D, extra))
-    elif op == "converse":
-        out = converse(D)
-    else:
-        if not D.arcs:
-            raise Inapplicable(f"{op} needs at least one arc")
-        builder = {
-            "line": transforms.line_digraph,
-            "subdivision": transforms.subdivision,
-            "root": transforms.root,
-            "middle": transforms.middle,
-            "total": transforms.total,
-        }[op]
-        out, mapping = builder(D)
-        if op != "line":
-            tags = mapping
+    build, count, error = _TRANSFORMS[op]
+    need = D.vertex_count if count is None else count
+    if len(extra) != need:
+        raise ParseError(error.format(op=op, need=need, got=len(extra)))
+    if op in _ARC_OPS and not D.arcs:
+        raise Inapplicable(f"{op} needs at least one arc")
+    out, origins = build(D, *extra)
     _write_text(args.out, fileio.write_digraph(out))
     if args.dot:
-        _write_text(args.dot, fileio.write_dot(out, tags))
+        _write_text(args.dot, fileio.write_dot(out, origins))
     return EXIT_OK
 
 
@@ -185,12 +188,16 @@ def cmd_transform(args) -> int:
 # generate
 
 
-def _parse_params(pairs: Optional[List[str]]) -> dict:
+def _parse_params(family: str, pairs: Optional[List[str]]) -> dict:
     params = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ParseError(f"parameter {pair!r} is not key=value")
         key, _, value = pair.partition("=")
+        if key not in _FAMILY_PARAMS[family]:
+            raise ParseError(f"family {family!r} takes no parameter {key!r}")
+        if key in params:
+            raise ParseError(f"parameter {key!r} is given twice")
         try:
             params[key] = int(value)
         except ValueError:
@@ -210,8 +217,8 @@ _FAMILY_PARAMS = {
 
 
 def cmd_generate(args) -> int:
-    params = _parse_params(args.params)
     family = args.family
+    params = _parse_params(family, args.params)
     for key in _FAMILY_PARAMS[family]:
         if key not in params:
             raise ParseError(f"family {family!r} needs parameter {key!r}")
@@ -363,20 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="build a derived digraph")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "line",
-            "subdivision",
-            "root",
-            "middle",
-            "total",
-            "converse",
-            "product",
-            "compose",
-        ],
-    )
+    p.add_argument("--op", required=True, choices=list(_TRANSFORMS))
     p.add_argument("--with", dest="with_files", action="append")
     p.add_argument("--out", required=True)
     p.add_argument("--dot")

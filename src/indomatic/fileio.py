@@ -117,11 +117,13 @@ def write_arc_partition(Q: ArcPartition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_dot(D: Digraph, tags: Optional[tuple] = None) -> str:
-    """DOT export; with tags, vertices carry their origin as the label."""
+def write_dot(D: Digraph, origins: Optional[tuple] = None) -> str:
+    """DOT export.  ``origins`` may be any construction's origins, one per
+    vertex; a vertex whose origin is a ``TaggedVertex`` carries it as its
+    label, and every other vertex is written bare."""
     lines = ["digraph G {"]
     for v in range(D.vertex_count):
-        tag = None if tags is None else tags[v]
+        tag = None if origins is None else origins[v]
         if isinstance(tag, TaggedVertex):
             label = (
                 f"v{tag.payload}"

@@ -418,12 +418,14 @@ def check_all(
         )
 
     # L13: line digraph value equals the strong-cover partition maximum.
+    # L15's gates imply L13's, so L15 reads the same line digraph.
+    line = line_digraph(D)[0] if n >= 2 and m <= _ORDER_CAP else None
     if n < 2:
         entry("L13", NOT_APPLICABLE, reason="order below three")
     elif m > _ORDER_CAP:
         entry("L13", NOT_APPLICABLE, reason=f"{m} arcs above cap {_ORDER_CAP}")
     else:
-        lv = solve(line_digraph(D)[0]).value
+        lv = solve(line).value
         cv = lambda_number(D).value
         if n == 2:
             # Below the order-three hypothesis the identity genuinely
@@ -460,7 +462,7 @@ def check_all(
             "L15", NOT_APPLICABLE, reason=f"derived order {n + m} above cap {_ORDER_CAP}"
         )
     else:
-        lv = solve(line_digraph(D)[0]).value
+        lv = solve(line).value
         qv = solve(middle(D)[0]).value
         tv = solve(total(D)[0]).value
         ok = lv <= qv and lv + 1 <= tv

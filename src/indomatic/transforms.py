@@ -2,9 +2,10 @@
 root, middle, total, converse) and the constructive partition lifts that
 carry strong in-domatic partitions onto them.
 
-Every construction returns the derived digraph together with a map from
-its dense vertex ids back to their origin, so partitions can be pushed
-forward and pulled back without parsing anything.
+Every construction returns the derived digraph together with its
+``origins``: ``origins[i]`` is where vertex i comes from (a product or
+composition pair, an arc of D, or a ``TaggedVertex``), so partitions can
+be pushed forward and pulled back without parsing anything.
 """
 from __future__ import annotations
 
@@ -55,15 +56,13 @@ def cartesian_product(D: Digraph, H: Digraph):
     """Cartesian product: (x,z) -> (u,v) is an arc iff the pair moves along
     exactly one coordinate by an arc of that factor.
 
-    Returns ``(P, pair_to_id)``; the id of (x, z) is ``x * |V(H)| + z``.
+    Returns ``(P, origins)``; ``origins[i]`` is the pair (x, z) of vertex
+    i, whose id is ``x * |V(H)| + z``.
     """
     if D.vertex_count == 0 or H.vertex_count == 0:
         raise ValueError("both factors must be nonempty")
     nh = H.vertex_count
-    pair_to_id: Dict[Tuple[int, int], int] = {}
-    for x in range(D.vertex_count):
-        for z in range(nh):
-            pair_to_id[(x, z)] = x * nh + z
+    origins = tuple((x, z) for x in range(D.vertex_count) for z in range(nh))
     arcs = []
     for x in range(D.vertex_count):
         for (z, v) in H.arcs:
@@ -71,25 +70,21 @@ def cartesian_product(D: Digraph, H: Digraph):
     for (x, u) in D.arcs:
         for z in range(nh):
             arcs.append((x * nh + z, u * nh + z))
-    return make_digraph(D.vertex_count * nh, arcs), pair_to_id
+    return make_digraph(len(origins), arcs), origins
 
 
 def composition(spec: CompositionSpec):
     """Blow every host vertex up into its part and join all of part(v) to
     all of part(u) for each host arc (v, u).
 
-    Returns ``(C, origin_to_id)`` with origin keys ``(host_vertex,
-    part_vertex)``.
+    Returns ``(C, origins)``; ``origins[i]`` is the pair (host_vertex,
+    part_vertex) of vertex i, part by part in host-vertex order.
     """
     offsets = []
-    total = 0
-    for part in spec.parts:
-        offsets.append(total)
-        total += part.vertex_count
-    origin_to_id: Dict[Tuple[int, int], int] = {}
+    origins = []
     for hv, part in enumerate(spec.parts):
-        for pv in range(part.vertex_count):
-            origin_to_id[(hv, pv)] = offsets[hv] + pv
+        offsets.append(len(origins))
+        origins += [(hv, pv) for pv in range(part.vertex_count)]
     arcs = []
     for hv, part in enumerate(spec.parts):
         for (u, v) in part.arcs:
@@ -98,26 +93,23 @@ def composition(spec: CompositionSpec):
         for pv in range(spec.parts[v].vertex_count):
             for pu in range(spec.parts[u].vertex_count):
                 arcs.append((offsets[v] + pv, offsets[u] + pu))
-    return make_digraph(total, arcs), origin_to_id
+    return make_digraph(len(origins), arcs), tuple(origins)
 
 
 def line_digraph(D: Digraph):
     """Vertices are the arcs of D; (u,v) -> (w,z) is an arc iff v = w.
 
-    Returns ``(L, arc_to_id)`` with arcs numbered in lexicographic order.
+    Returns ``(L, origins)``; ``origins[i]`` is the arc of D that vertex i
+    stands for, in lexicographic arc order.
     """
-    arcs = D.sorted_arcs()
-    if not arcs:
+    origins = tuple(D.sorted_arcs())
+    if not origins:
         raise ValueError("line digraph needs at least one arc")
-    arc_to_id = {a: i for i, a in enumerate(arcs)}
-    new_arcs = []
     by_tail: Dict[int, list] = {}
-    for a in arcs:
-        by_tail.setdefault(a[0], []).append(a)
-    for a in arcs:
-        for b in by_tail.get(a[1], ()):
-            new_arcs.append((arc_to_id[a], arc_to_id[b]))
-    return make_digraph(len(arcs), new_arcs), arc_to_id
+    for i, (u, _) in enumerate(origins):
+        by_tail.setdefault(u, []).append(i)
+    new_arcs = [(i, j) for i, (_, v) in enumerate(origins) for j in by_tail.get(v, ())]
+    return make_digraph(len(origins), new_arcs), origins
 
 
 def subdivision(D: Digraph):

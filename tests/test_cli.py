@@ -94,6 +94,17 @@ class TestCompute:
         assert capsys.readouterr().out == value
         assert out.read_text() == witness
 
+    @pytest.mark.parametrize("what", ["kappa", "gammacl"])
+    def test_witness_out_rejected_without_witness(self, workdir, capsys, what):
+        tmp, save = workdir
+        path = save("k4.dg", complete_digraph(4))
+        out = tmp / "w.part"
+        assert run("compute", "--in", path, "--what", what, "--witness-out", str(out)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"not applicable: {what} has no witness to write\n"
+        assert not out.exists()
+
     def test_gammacl_absent(self, workdir, capsys):
         _, save = workdir
         path = save("c5.dg", directed_cycle(5))
@@ -227,6 +238,93 @@ class TestTransform:
         path = save("e2.dg", make_digraph(2, []))
         assert run("transform", "--in", path, "--op", "line", "--out", str(tmp_path / "x")) == 3
 
+    @pytest.mark.parametrize("op", ["line", "subdivision", "converse"])
+    def test_with_rejected_where_unused(self, workdir, tmp_path, capsys, op):
+        _, save = workdir
+        path = save("c3.dg", directed_cycle(3))
+        k2 = save("k2.dg", complete_digraph(2))
+        out = tmp_path / "x.dg"
+        assert run("transform", "--in", path, "--op", op, "--with", k2, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"input error: {op} takes no --with digraph, got 1\n"
+        assert not out.exists()
+
+    def test_compose_count_bytes(self, workdir, tmp_path, capsys):
+        _, save = workdir
+        path = save("c3.dg", directed_cycle(3))
+        k2 = save("k2.dg", complete_digraph(2))
+        argv = ["transform", "--in", path, "--op", "compose", "--with", k2, "--out", str(tmp_path / "x")]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "input error: compose needs one --with digraph per host vertex (3), got 1\n"
+        )
+
+    # DOT bytes of every op on the directed 3-cycle, with K2* as each --with
+    # digraph: only subdivision-family origins are labelled.
+    @pytest.mark.parametrize(
+        "op,dot",
+        [
+            (
+                "line",
+                "digraph G {\n  0;\n  1;\n  2;\n  0 -> 1;\n  1 -> 2;\n  2 -> 0;\n}\n"
+            ),
+            (
+                "subdivision",
+                'digraph G {\n  0 [label="v0"];\n  1 [label="v1"];\n'
+                '  2 [label="v2"];\n  3 [label="a(0,1)"];\n  4 [label="a(1,2)"];\n'
+                '  5 [label="a(2,0)"];\n  0 -> 3;\n  1 -> 4;\n  2 -> 5;\n  3 -> 1;\n'
+                "  4 -> 2;\n  5 -> 0;\n}\n"
+            ),
+            (
+                "root",
+                'digraph G {\n  0 [label="v0"];\n  1 [label="v1"];\n'
+                '  2 [label="v2"];\n  3 [label="a(0,1)"];\n  4 [label="a(1,2)"];\n'
+                '  5 [label="a(2,0)"];\n  0 -> 1;\n  0 -> 3;\n  1 -> 2;\n  1 -> 4;\n'
+                "  2 -> 0;\n  2 -> 5;\n  3 -> 1;\n  4 -> 2;\n  5 -> 0;\n}\n"
+            ),
+            (
+                "middle",
+                'digraph G {\n  0 [label="v0"];\n  1 [label="v1"];\n'
+                '  2 [label="v2"];\n  3 [label="a(0,1)"];\n  4 [label="a(1,2)"];\n'
+                '  5 [label="a(2,0)"];\n  0 -> 3;\n  1 -> 4;\n  2 -> 5;\n  3 -> 1;\n'
+                "  3 -> 4;\n  4 -> 2;\n  4 -> 5;\n  5 -> 0;\n  5 -> 3;\n}\n"
+            ),
+            (
+                "total",
+                'digraph G {\n  0 [label="v0"];\n  1 [label="v1"];\n'
+                '  2 [label="v2"];\n  3 [label="a(0,1)"];\n  4 [label="a(1,2)"];\n'
+                '  5 [label="a(2,0)"];\n  0 -> 1;\n  0 -> 3;\n  1 -> 2;\n  1 -> 4;\n'
+                "  2 -> 0;\n  2 -> 5;\n  3 -> 1;\n  3 -> 4;\n  4 -> 2;\n  4 -> 5;\n"
+                "  5 -> 0;\n  5 -> 3;\n}\n"
+            ),
+            (
+                "converse",
+                "digraph G {\n  0;\n  1;\n  2;\n  0 -> 2;\n  1 -> 0;\n  2 -> 1;\n}\n"
+            ),
+            (
+                "product",
+                "digraph G {\n  0;\n  1;\n  2;\n  3;\n  4;\n  5;\n  0 -> 1;\n"
+                "  0 -> 2;\n  1 -> 0;\n  1 -> 3;\n  2 -> 3;\n  2 -> 4;\n  3 -> 2;\n"
+                "  3 -> 5;\n  4 -> 0;\n  4 -> 5;\n  5 -> 1;\n  5 -> 4;\n}\n"
+            ),
+            (
+                "compose",
+                "digraph G {\n  0;\n  1;\n  2;\n  3;\n  4;\n  5;\n  0 -> 1;\n"
+                "  0 -> 2;\n  0 -> 3;\n  1 -> 0;\n  1 -> 2;\n  1 -> 3;\n  2 -> 3;\n"
+                "  2 -> 4;\n  2 -> 5;\n  3 -> 2;\n  3 -> 4;\n  3 -> 5;\n  4 -> 0;\n"
+                "  4 -> 1;\n  4 -> 5;\n  5 -> 0;\n  5 -> 1;\n  5 -> 4;\n}\n"
+            ),
+        ],
+    )
+    def test_dot_bytes(self, workdir, tmp_path, op, dot):
+        _, save = workdir
+        path = save("c3.dg", directed_cycle(3))
+        k2 = save("k2.dg", complete_digraph(2))
+        extra = {"product": ["--with", k2], "compose": ["--with", k2] * 3}.get(op, [])
+        out, dot_path = tmp_path / "out.dg", tmp_path / "out.dot"
+        argv = ["transform", "--in", path, "--op", op, *extra, "--out", str(out)]
+        assert run(*argv, "--dot", str(dot_path)) == 0
+        assert dot_path.read_text() == dot
+
 
 class TestGenerate:
     def test_pair_critical(self, tmp_path, capsys):
@@ -254,6 +352,22 @@ class TestGenerate:
 
     def test_missing_param(self, tmp_path):
         assert run("generate", "--family", "complete", "--out", str(tmp_path / "x")) == 2
+
+    @pytest.mark.parametrize(
+        "family,params,err",
+        [
+            ("complete", ["n=3", "m=4"], "input error: family 'complete' takes no parameter 'm'\n"),
+            ("order-value", ["p=5", "n=2"], "input error: family 'order-value' takes no parameter 'n'\n"),
+            ("complete", ["n=3", "n=5"], "input error: parameter 'n' is given twice\n"),
+            ("order-value", ["p=5", "m=2", "p=7"], "input error: parameter 'p' is given twice\n"),
+        ],
+        ids=["unknown", "unknown-of-two", "repeated", "repeated-of-two"],
+    )
+    def test_unknown_or_repeated_param(self, tmp_path, capsys, family, params, err):
+        out = tmp_path / "x.dg"
+        assert run("generate", "--family", family, "--params", *params, "--out", str(out)) == 2
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "family,params,err",

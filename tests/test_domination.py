@@ -228,17 +228,17 @@ class TestCoverLineCorrespondence:
         # The equivalence needs order at least three: for the complete
         # digraph of order two a lone arc is strong in-dominating in the
         # line digraph yet not a cover.
-        L, arc_to_id = line_digraph(D)
+        L, origins = line_digraph(D)
         arcs = D.sorted_arcs()
         for size in range(1, min(3, len(arcs)) + 1):
             for E in combinations(arcs, size):
                 lhs = is_strong_cover(D, E)
-                rhs = is_strong_in_dominating(L, {arc_to_id[a] for a in E})
+                rhs = is_strong_in_dominating(L, {origins.index(a) for a in E})
                 assert lhs == rhs
 
     def test_k2_counterexample(self, k2):
-        L, arc_to_id = line_digraph(k2)
-        single = {arc_to_id[(1, 0)]}
+        L, origins = line_digraph(k2)
+        single = {origins.index((1, 0))}
         assert is_strong_in_dominating(L, single)
         assert not is_strong_cover(k2, {(1, 0)})
 

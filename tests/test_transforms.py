@@ -28,7 +28,32 @@ from indomatic import (
     total,
 )
 
+from indomatic.fileio import write_dot
+
 from .conftest import digraphs, strong_digraphs
+
+
+# Every construction on the directed 3-cycle (with K2* as the second factor
+# and as each part), by name.
+_CONSTRUCTIONS = {
+    "induced_subdigraph": lambda c3, k2: induced_subdigraph(c3, [0, 2]),
+    "arc_induced_subdigraph": lambda c3, k2: arc_induced_subdigraph(c3, [(1, 2)]),
+    "cartesian_product": cartesian_product,
+    "composition": lambda c3, k2: composition(CompositionSpec.of(c3, [k2] * 3)),
+    "line_digraph": lambda c3, k2: line_digraph(c3),
+    "subdivision": lambda c3, k2: subdivision(c3),
+    "root": lambda c3, k2: root(c3),
+    "middle": lambda c3, k2: middle(c3),
+    "total": lambda c3, k2: total(c3),
+}
+
+
+@pytest.mark.parametrize("name", list(_CONSTRUCTIONS))
+def test_origins_name_every_vertex(name, c3, k2):
+    X, origins = _CONSTRUCTIONS[name](c3, k2)
+    assert len(origins) == X.vertex_count
+    assert len(set(origins)) == len(origins)
+    assert write_dot(X, origins).startswith("digraph G {\n")
 
 
 class TestCartesianProduct:
@@ -47,11 +72,11 @@ class TestCartesianProduct:
         assert P.vertex_count == 9 and len(P.arcs) == 18
 
     def test_levels(self, c3, c4):
-        P, pair_map = cartesian_product(c3, c4)
-        horizontal = [pair_map[(0, z)] for z in range(4)]
+        P, origins = cartesian_product(c3, c4)
+        horizontal = [origins.index((0, z)) for z in range(4)]
         sub, _ = induced_subdigraph(P, horizontal)
         assert are_isomorphic(sub, c4)
-        vertical = [pair_map[(x, 0)] for x in range(3)]
+        vertical = [origins.index((x, 0)) for x in range(3)]
         sub, _ = induced_subdigraph(P, vertical)
         assert are_isomorphic(sub, c3)
 
@@ -76,15 +101,15 @@ class TestComposition:
 
     def test_representatives_induce_host(self, c3):
         spec = CompositionSpec.of(c3, [empty_digraph(2), empty_digraph(3), empty_digraph(2)])
-        C, origin = composition(spec)
-        reps = [origin[(hv, 0)] for hv in range(3)]
+        C, origins = composition(spec)
+        reps = [origins.index((hv, 0)) for hv in range(3)]
         sub, _ = induced_subdigraph(C, reps)
         assert are_isomorphic(sub, c3)
 
     def test_part_arcs_survive(self, c3):
         spec = CompositionSpec.of(c3, [directed_cycle(3), empty_digraph(1), empty_digraph(1)])
-        C, origin = composition(spec)
-        part_ids = [origin[(0, pv)] for pv in range(3)]
+        C, origins = composition(spec)
+        part_ids = [origins.index((0, pv)) for pv in range(3)]
         sub, _ = induced_subdigraph(C, part_ids)
         assert are_isomorphic(sub, directed_cycle(3))
 
@@ -129,8 +154,8 @@ class TestLineDigraph:
     def test_line_functor_identity(self, D):
         arcs = D.sorted_arcs()
         E = arcs[: max(1, len(arcs) // 2)]
-        L, arc_to_id = line_digraph(D)
-        lhs, _ = induced_subdigraph(L, {arc_to_id[a] for a in E})
+        L, origins = line_digraph(D)
+        lhs, _ = induced_subdigraph(L, {origins.index(a) for a in E})
         sub, _ = arc_induced_subdigraph(D, E)
         rhs, _ = line_digraph(sub)
         assert are_isomorphic(lhs, rhs)
@@ -230,13 +255,10 @@ class TestLifts:
         parts = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(host.vertex_count)]
         spec = CompositionSpec.of(host, parts)
         # Reference: read each vertex's id from the built composition.
-        _, origin_to_id = composition(spec)
+        _, origins = composition(spec)
         n = min(part.vertex_count for part in parts)
-        block_of = [n - 1] * len(origin_to_id)
-        for (hv, pv), vid in origin_to_id.items():
-            if pv < n - 1:
-                block_of[vid] = pv
-        assert composition_partition(spec) == VertexPartition(tuple(block_of), n)
+        block_of = tuple(min(pv, n - 1) for _, pv in origins)
+        assert composition_partition(spec) == VertexPartition(block_of, n)
 
     def test_composition_partition_min_one(self, c3):
         spec = CompositionSpec.of(
