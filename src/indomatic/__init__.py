@@ -83,12 +83,9 @@ from .transforms import (
     total,
 )
 from .undirected import (
-    UGraph,
     clique_domination_number,
     connected_domatic_number,
     is_clique,
-    is_connected_subset,
-    is_dominating_set,
     is_planar,
     make_ugraph,
     underlying_graph,

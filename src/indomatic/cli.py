@@ -78,7 +78,8 @@ _MAXIMA = {
     "dsplus": strong_out_domatic_number,
     "lambda": lambda_number,
     "indomatic": in_domatic_number,
-    "dc": lambda D: connected_domatic_number(underlying_graph(D)),
+    # Applied to the underlying graph, which cmd_compute builds.
+    "dc": connected_domatic_number,
 }
 
 
@@ -91,8 +92,10 @@ def cmd_compute(args) -> int:
     if what in _MAXIMA:
         if what == "lambda" and (D.vertex_count < 2 or not D.arcs):
             raise Inapplicable("arc covers need a digraph with at least one arc")
-        if what == "dc" and not is_connected(underlying_graph(D)):
-            raise Inapplicable("connected domatic number needs a connected underlying graph")
+        if what == "dc":
+            D = underlying_graph(D)
+            if not is_connected(D):
+                raise Inapplicable("connected domatic number needs a connected underlying graph")
         result = _MAXIMA[what](D)
         value = result.value
         write = fileio.write_arc_partition if what == "lambda" else fileio.write_partition

@@ -137,7 +137,8 @@ def _bypassed(masks: Sequence[int], allowed: int, u: int, v: int) -> bool:
 
 def _dominates(masks: Sequence[int], members: int) -> bool:
     """Every vertex outside the mask ``members`` has a neighbor in it along
-    ``masks``: in-domination on out-masks, domination on undirected ones."""
+    ``masks``: in-domination on out-masks, which on a graph (a symmetric
+    digraph) is domination."""
     return all(mask & members for x, mask in enumerate(masks) if not members >> x & 1)
 
 
@@ -148,7 +149,7 @@ def _check_vertex(D, v: int) -> None:
 
 def _require_subset(D, S) -> int:
     """The bitmask of S, checked nonempty and inside the vertex range of
-    the digraph or undirected graph D."""
+    the digraph D."""
     members = 0
     for v in S:
         _check_vertex(D, v)

@@ -21,6 +21,18 @@ from .core import (
 )
 
 
+def _check_block_indices(indices, block_count: int) -> None:
+    """Raise ``ValueError`` unless every index lies in ``range(block_count)``
+    and each block gets at least one."""
+    counts = [0] * block_count
+    for b in indices:
+        if not (0 <= b < block_count):
+            raise ValueError(f"block index {b} outside [0,{block_count})")
+        counts[b] += 1
+    if any(c == 0 for c in counts):
+        raise ValueError("every block must be nonempty")
+
+
 @dataclass(frozen=True)
 class VertexPartition:
     """Partition of a digraph's vertex set into indexed nonempty blocks.
@@ -33,13 +45,7 @@ class VertexPartition:
     block_count: int
 
     def __post_init__(self):
-        counts = [0] * self.block_count
-        for b in self.block_of:
-            if not (0 <= b < self.block_count):
-                raise ValueError(f"block index {b} outside [0,{self.block_count})")
-            counts[b] += 1
-        if any(c == 0 for c in counts):
-            raise ValueError("every block must be nonempty")
+        _check_block_indices(self.block_of, self.block_count)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
@@ -73,23 +79,24 @@ class VertexPartition:
 
 @dataclass(frozen=True)
 class ArcPartition:
-    """Partition of a digraph's arc set into indexed nonempty blocks."""
+    """Partition of a digraph's arc set into indexed nonempty blocks.
+
+    Each arc appears once in ``block_of``, with a block index in
+    ``range(block_count)``, and every block is nonempty.
+    """
 
     block_of: tuple  # tuple of ((u, v), block) pairs, sorted by arc
     block_count: int
 
+    def __post_init__(self):
+        if len({arc for arc, _ in self.block_of}) != len(self.block_of):
+            raise ValueError("an arc is listed twice")
+        _check_block_indices([b for _, b in self.block_of], self.block_count)
+
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[Tuple[int, int]]]) -> "ArcPartition":
-        blocks = [sorted(set(b)) for b in blocks]
-        if any(not b for b in blocks):
-            raise ValueError("empty block in arc partition")
-        assignment = {}
-        for i, b in enumerate(blocks):
-            for arc in b:
-                if arc in assignment:
-                    raise ValueError(f"arc {arc} in two blocks")
-                assignment[arc] = i
-        return cls(tuple(sorted(assignment.items())), len(blocks))
+        blocks = [set(b) for b in blocks]
+        return cls(tuple(sorted((arc, i) for i, b in enumerate(blocks) for arc in b)), len(blocks))
 
     def mapping(self) -> Dict[Tuple[int, int], int]:
         return dict(self.block_of)
@@ -98,8 +105,6 @@ class ArcPartition:
         out = [[] for _ in range(self.block_count)]
         for arc, b in self.block_of:
             out[b].append(arc)
-        if any(not b for b in out):
-            raise ValueError("every block must be nonempty")
         return tuple(frozenset(b) for b in out)
 
     def canonical(self) -> "ArcPartition":

@@ -154,9 +154,10 @@ def upper_bound(D: Digraph) -> int:
     on planar input."""
     _require_strong(D, "upper bound applies to strong digraphs")
     bound = search_cap(D)
+    UG = underlying_graph(D)
     if not is_semicomplete(D):
-        bound = min(bound, vertex_connectivity(underlying_graph(D)))
-    if is_planar(underlying_graph(D)):
+        bound = min(bound, vertex_connectivity(UG))
+    if is_planar(UG):
         bound = min(bound, 4)
     return bound
 

@@ -96,6 +96,15 @@ def composition(spec: CompositionSpec):
     return make_digraph(len(origins), arcs), tuple(origins)
 
 
+def _continuations(arcs: list) -> list:
+    """The index pairs (i, j) with the head of ``arcs[i]`` the tail of
+    ``arcs[j]``: the arcs of the line digraph on ``arcs``."""
+    by_tail: Dict[int, list] = {}
+    for j, (u, _) in enumerate(arcs):
+        by_tail.setdefault(u, []).append(j)
+    return [(i, j) for i, (_, v) in enumerate(arcs) for j in by_tail.get(v, ())]
+
+
 def line_digraph(D: Digraph):
     """Vertices are the arcs of D; (u,v) -> (w,z) is an arc iff v = w.
 
@@ -105,20 +114,14 @@ def line_digraph(D: Digraph):
     origins = tuple(D.sorted_arcs())
     if not origins:
         raise ValueError("line digraph needs at least one arc")
-    by_tail: Dict[int, list] = {}
-    for i, (u, _) in enumerate(origins):
-        by_tail.setdefault(u, []).append(i)
-    new_arcs = [(i, j) for i, (_, v) in enumerate(origins) for j in by_tail.get(v, ())]
-    return make_digraph(len(origins), new_arcs), origins
+    return make_digraph(len(origins), _continuations(origins)), origins
 
 
-def subdivision(D: Digraph):
-    """Each original vertex points to its outgoing arc-vertices; each
-    arc-vertex points to its head.
-
-    Originals keep their ids and arc-vertices follow in lexicographic arc
-    order, a layout the root, middle and total digraphs share.
-    """
+def _arc_vertex_digraph(D: Digraph, originals: bool, line: bool):
+    """The subdivision of D, plus D's own arcs between the original
+    vertices when ``originals`` and the line digraph's arcs between the
+    arc-vertices when ``line``.  The three kinds of arc are disjoint and
+    each is loopless and simple, so the result needs no validation."""
     if not D.arcs:
         raise ValueError("construction needs at least one arc")
     n = D.vertex_count
@@ -130,31 +133,40 @@ def subdivision(D: Digraph):
     new_arcs = []
     for i, (u, v) in enumerate(arcs):
         new_arcs += [(u, n + i), (n + i, v)]
-    return make_digraph(n + len(arcs), new_arcs), tags
+    if originals:
+        new_arcs += arcs
+    if line:
+        new_arcs += [(n + i, n + j) for i, j in _continuations(arcs)]
+    return Digraph(n + len(arcs), frozenset(new_arcs)), tags
+
+
+def subdivision(D: Digraph):
+    """Each original vertex points to its outgoing arc-vertices; each
+    arc-vertex points to its head.
+
+    Originals keep their ids and arc-vertices follow in lexicographic arc
+    order, a layout the root, middle and total digraphs share.
+    """
+    return _arc_vertex_digraph(D, originals=False, line=False)
 
 
 def root(D: Digraph):
     """Subdivision plus the original arcs between original vertices."""
-    S, tags = subdivision(D)
-    return Digraph(S.vertex_count, S.arcs | D.arcs), tags
+    return _arc_vertex_digraph(D, originals=True, line=False)
 
 
 def middle(D: Digraph):
     """Subdivision plus arcs from each arc-vertex to the arc-vertices that
     continue it (those whose tail is its head): the line digraph, shifted
     onto the arc-vertices."""
-    S, tags = subdivision(D)
-    n = D.vertex_count
-    L, _ = line_digraph(D)
-    return Digraph(S.vertex_count, S.arcs | {(n + a, n + b) for a, b in L.arcs}), tags
+    return _arc_vertex_digraph(D, originals=False, line=True)
 
 
 def total(D: Digraph):
     """Middle plus the original arcs: the union of every adjacency the
     other three constructions provide.  Restricted to the arc-vertices it
     is exactly the line digraph."""
-    M, tags = middle(D)
-    return Digraph(M.vertex_count, M.arcs | D.arcs), tags
+    return _arc_vertex_digraph(D, originals=True, line=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,86 +1,60 @@
 """Underlying-graph invariants: connectivity, connected domatic number,
-clique domination and planarity."""
+clique domination and planarity.
+
+A graph is a symmetric digraph: a ``Digraph`` that has both arcs of every
+edge.  On it, domination is in-domination and a connected induced
+subgraph is a strong one, so the graph invariants run on the digraph
+machinery.  Each public function here but the two builders raises
+``ValueError`` on a digraph that is not symmetric.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from ._search import partition_search
-from .core import Digraph, _digraph_fault, _dominates, _masks, _reaches, _require_subset
-from .domination import VertexPartition, _block_masks, _diagnose
-from .solver import SolveResult, _largest
+from .core import Digraph, _reaches, _require_subset, is_complete, make_digraph
+from .domination import VertexPartition, is_in_dominating, is_strong_in_domatic_partition
+from .solver import SolveResult, _largest, _strong_in_domatic_search, search_cap
 
 
-@dataclass(frozen=True)
-class UGraph:
-    """Immutable simple undirected graph; edges are sorted vertex pairs.
-
-    ``masks`` is computed once per instance, on first use; it is not a
-    field, so equality, hashing and ``repr`` ignore it.
-    """
-
-    vertex_count: int
-    edges: frozenset
-
-    @cached_property
-    def masks(self) -> tuple:
-        """Bit w of ``masks[v]`` is set iff {v, w} is an edge."""
-        pairs = [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
-        return _masks(self.vertex_count, pairs)
-
-    def __repr__(self) -> str:
-        return f"UGraph(n={self.vertex_count}, m={len(self.edges)})"
+def make_ugraph(vertex_count: int, edges: Iterable[Tuple[int, int]]) -> Digraph:
+    """Build a validated graph: the symmetric digraph with both arcs of
+    each edge.  Each edge becomes its sorted pair and the pairs pass
+    ``make_digraph``, so an edge given both ways is a duplicate."""
+    return underlying_graph(make_digraph(vertex_count, [(min(u, v), max(u, v)) for u, v in edges]))
 
 
-def make_ugraph(vertex_count: int, edges: Iterable[Tuple[int, int]]) -> UGraph:
-    """Build a validated graph.  Each edge becomes its sorted pair and the
-    pairs follow the digraph rules, so an edge given both ways is a
-    duplicate."""
-    pairs = [(min(u, v), max(u, v)) for u, v in edges]
-    fault = _digraph_fault(vertex_count, pairs)
-    if fault is not None:
-        raise ValueError(fault[1])
-    return UGraph(vertex_count, frozenset(pairs))
+def underlying_graph(D: Digraph) -> Digraph:
+    """Forget orientation: the symmetric digraph with both arcs of every
+    arc of D."""
+    return Digraph(D.vertex_count, D.arcs | {(v, u) for u, v in D.arcs})
 
 
-def underlying_graph(D: Digraph) -> UGraph:
-    """Forget orientation; antiparallel arcs merge into one edge."""
-    return make_ugraph(
-        D.vertex_count, {(min(u, v), max(u, v)) for u, v in D.arcs}
-    )
+def _require_graph(G: Digraph) -> None:
+    """Raise ``ValueError`` unless G is symmetric, that is, a graph."""
+    if G.out_masks != G.in_masks:
+        raise ValueError("a graph is a symmetric digraph; this one has an arc without its reverse")
 
 
-def _connected_on(masks, vertices: int) -> bool:
-    return _reaches(vertices & -vertices, masks, vertices, vertices)
-
-
-def is_connected(G: UGraph) -> bool:
+def is_connected(G: Digraph) -> bool:
+    _require_graph(G)
     if G.vertex_count == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    return _connected_on(G.masks, (1 << G.vertex_count) - 1)
+    # On a symmetric digraph one closure decides strong connectivity.
+    full = (1 << G.vertex_count) - 1
+    return _reaches(1, G.out_masks, full, full)
 
 
-def is_connected_subset(G: UGraph, S) -> bool:
-    """The subgraph induced by S is connected."""
-    return _connected_on(G.masks, _require_subset(G, S))
-
-
-def is_dominating_set(G: UGraph, S) -> bool:
-    """Every vertex outside S has a neighbor in S."""
-    return _dominates(G.masks, _require_subset(G, S))
-
-
-def is_clique(G: UGraph, S) -> bool:
+def is_clique(G: Digraph, S) -> bool:
     """Every two members of S are adjacent."""
+    _require_graph(G)
     members = _require_subset(G, S)
     return all(
-        not members & ~(mask | 1 << v) for v, mask in enumerate(G.masks) if members >> v & 1
+        not members & ~(mask | 1 << v) for v, mask in enumerate(G.out_masks) if members >> v & 1
     )
 
 
-def vertex_connectivity(G: UGraph) -> int:
+def vertex_connectivity(G: Digraph) -> int:
     """Minimum number of vertices whose removal disconnects G, found by
     exhaustive cut search; complete graphs return n-1 by convention."""
     n = G.vertex_count
@@ -92,63 +66,62 @@ def vertex_connectivity(G: UGraph) -> int:
     bits = [1 << v for v in range(n)]
     for size in range(0, n - 1):
         for cut in combinations(bits, size):
-            if not _connected_on(G.masks, full - sum(cut)):
+            rest = full - sum(cut)
+            # One closure, as in ``is_connected``.
+            if not _reaches(rest & -rest, G.out_masks, rest, rest):
                 return size
     return n - 1
 
 
-def connected_domatic_number(G: UGraph) -> SolveResult:
+def connected_domatic_number(G: Digraph) -> SolveResult:
     """Largest k such that the vertices split into k connected dominating
     sets, as a ``SolveResult``: the value, a witness ``VertexPartition``
     and the ``SolveStats`` of the searches.
 
-    Merging blocks of such a partition preserves the property (each block
-    dominates, so its vertices all touch any other block), hence the
-    feasible sizes form a prefix: a partition at the cap is the answer,
-    and below a failed cap the first infeasible k ends the search.  The
-    witness is checked block by block, and a failed check raises
-    ``WitnessCheckError``.
+    On a graph, a connected dominating set is a strong in-dominating set,
+    so this is the strong in-domatic search and check on G.  The cap is
+    ``search_cap``, lowered to the vertex connectivity off the complete
+    case: there kappa <= delta, so it is min(delta + 1, kappa).  A failed
+    witness check raises ``WitnessCheckError``.
     """
     n = G.vertex_count
     if n == 0:
         raise ValueError("empty graph")
     if not is_connected(G):
         raise ValueError("connected domatic partitions need a connected graph")
-    masks = G.masks
-    cap = min(mask.bit_count() for mask in masks) + 1 if n > 1 else 1
-    if n > 1 and len(G.edges) < n * (n - 1) // 2:
+    cap = search_cap(G)
+    if not is_complete(G):
         cap = min(cap, vertex_connectivity(G))
-    # Domination and connectivity are in-domination and strongness of the
-    # symmetric neighbor relation.
     return _largest(
-        G, lambda k, counter: partition_search(n, masks, k, (masks, masks), counter),
+        G, lambda k, counter: _strong_in_domatic_search(G, k, counter),
         cap, n, VertexPartition,
-        lambda _, P: _diagnose(masks, masks, _block_masks(G, P)).ok,
-        "connected domatic partition",
+        is_strong_in_domatic_partition, "connected domatic partition",
     )
 
 
-def clique_domination_number(G: UGraph) -> Optional[int]:
+def clique_domination_number(G: Digraph) -> Optional[int]:
     """Minimum size of a dominating clique, or None when no clique
     dominates."""
+    _require_graph(G)
     n = G.vertex_count
     if n == 0:
         raise ValueError("empty graph")
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
-            if is_clique(G, S) and is_dominating_set(G, S):
+            if is_clique(G, S) and is_in_dominating(G, S):
                 return size
     return None
 
 
-def is_planar(G: UGraph) -> bool:
+def is_planar(G: Digraph) -> bool:
     """Planarity decision.  Order and edge count settle most graphs: by
     Kuratowski's theorem K5 is the only non-planar graph on at most five
     vertices, and by Euler's formula a simple planar graph on n >= 3
     vertices has at most 3n - 6 edges.  The rest go to networkx's
     left-right embedding algorithm."""
+    _require_graph(G)
     n = G.vertex_count
-    m = len(G.edges)
+    m = len(G.arcs) // 2
     if n <= 5:
         return m < 10
     if m > 3 * n - 6:
@@ -158,6 +131,6 @@ def is_planar(G: UGraph) -> bool:
 
     H = nx.Graph()
     H.add_nodes_from(range(G.vertex_count))
-    H.add_edges_from(G.edges)
+    H.add_edges_from(G.arcs)
     planar, _ = nx.check_planarity(H)
     return planar

@@ -170,6 +170,28 @@ class TestStrongCoverPartition:
         assert not is_strong_cover_partition(c4, Q)
 
 
+class TestArcPartitionValidation:
+    def test_arc_in_two_blocks_rejected(self):
+        # Were it accepted, K2* would seem to split into two strong covers.
+        with pytest.raises(ValueError, match="listed twice"):
+            ArcPartition((((0, 1), 0), ((0, 1), 1), ((1, 0), 0), ((1, 0), 1)), 2)
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_block_index_outside_range_rejected(self, index):
+        with pytest.raises(ValueError, match=r"outside \[0,1\)"):
+            ArcPartition((((0, 1), index), ((1, 0), index)), 1)
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            ArcPartition((((0, 1), 0), ((1, 0), 0)), 2)
+
+    def test_from_blocks_rejects_shared_arc_and_empty_block(self):
+        with pytest.raises(ValueError, match="listed twice"):
+            ArcPartition.from_blocks([[(0, 1), (1, 0)], [(0, 1)]])
+        with pytest.raises(ValueError, match="nonempty"):
+            ArcPartition.from_blocks([[(0, 1), (1, 0)], []])
+
+
 class TestOutDomaticDuality:
     def test_complete_singletons(self, k4):
         assert is_strong_out_domatic_partition(k4, singletons(4))

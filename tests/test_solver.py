@@ -495,7 +495,7 @@ class TestCapFirst:
             assert lambda_number(D).witness == Q
 
     def check_graph(self, G):
-        masks, n = G.masks, G.vertex_count
+        masks, n = G.out_masks, G.vertex_count
         found = ascending_ladder(lambda k: partition_search(n, masks, k, (masks, masks)), (0,) * n)
         P = VertexPartition(found, max(found) + 1)
         assert connected_domatic_number(G).witness == P

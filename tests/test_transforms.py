@@ -28,6 +28,7 @@ from indomatic import (
     total,
 )
 
+from indomatic import transforms
 from indomatic.fileio import write_dot
 
 from .conftest import digraphs, strong_digraphs
@@ -193,6 +194,18 @@ class TestMixedConstructions:
         sub, _ = induced_subdigraph(T, arc_vertices)
         L, _ = line_digraph(k3)
         assert are_isomorphic(sub, L)
+
+    def test_no_construction_rebuilds_another(self, monkeypatch, k3):
+        builds = {name: getattr(transforms, name) for name in ("subdivision", "root", "middle", "total")}
+
+        def rebuilt(D):
+            raise AssertionError("a construction rebuilt another")
+
+        for name in ("line_digraph", *builds):
+            monkeypatch.setattr(transforms, name, rebuilt)
+        S, _ = builds["subdivision"](k3)
+        assert builds["root"](k3)[0].arcs == S.arcs | k3.arcs
+        assert builds["total"](k3)[0].arcs == builds["middle"](k3)[0].arcs | k3.arcs
 
     def test_tags_layout(self, c3):
         S, tags = subdivision(c3)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indomatic
-from indomatic import undirected
+from indomatic import solver
 from indomatic import (
     WitnessCheckError,
     clique_domination_number,
@@ -19,10 +19,11 @@ from indomatic import (
     connected_domatic_number,
     directed_cycle,
     is_clique,
-    is_connected_subset,
-    is_dominating_set,
+    is_in_dominating,
     is_planar,
+    is_strong_subset,
     make_ugraph,
+    strong_in_domatic_number,
     underlying_graph,
     vertex_connectivity,
 )
@@ -30,6 +31,18 @@ from indomatic.solver import _all_set_partitions
 from indomatic.undirected import is_connected
 
 from .conftest import complete_graph, cycle_graph, path_graph
+
+
+def edges(G):
+    """The edges of the graph G as sorted vertex pairs."""
+    return {(u, v) for u, v in G.arcs if u < v}
+
+
+def labeled_graphs(n):
+    """Every labeled graph on n vertices."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in range(1 << len(pairs)):
+        yield make_ugraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
 
 
 @st.composite
@@ -52,7 +65,7 @@ def connected_graphs(draw, min_n=2, max_n=6):
 
 class TestUnderlyingGraph:
     def test_cycle(self, c3):
-        assert underlying_graph(c3).edges == frozenset([(0, 1), (1, 2), (0, 2)])
+        assert edges(underlying_graph(c3)) == {(0, 1), (1, 2), (0, 2)}
 
     def test_complete(self, k4):
         assert underlying_graph(k4) == complete_graph(4)
@@ -61,10 +74,10 @@ class TestUnderlyingGraph:
         from indomatic import make_digraph
 
         D = make_digraph(2, [(0, 1)])
-        assert underlying_graph(D).edges == frozenset([(0, 1)])
+        assert edges(underlying_graph(D)) == {(0, 1)}
 
     def test_antiparallel_merge(self, k2):
-        assert len(underlying_graph(k2).edges) == 1
+        assert len(edges(underlying_graph(k2))) == 1
 
 
 class TestMakeUgraph:
@@ -82,6 +95,11 @@ class TestMakeUgraph:
         with pytest.raises(ValueError, match=message):
             make_ugraph(n, edges)
 
+    def test_endpoints_become_ints(self):
+        # As in make_digraph; a float endpoint used to fail later, as a mask index.
+        G = make_ugraph(3, [(0.0, 1), (2, 1.0)])
+        assert G == path_graph(3) and is_connected(G)
+
 
 class TestNeighborMasks:
     @given(connected_graphs(min_n=1, max_n=6))
@@ -89,13 +107,13 @@ class TestNeighborMasks:
         n = G.vertex_count
         for v in range(n):
             for w in range(n):
-                edge = (min(v, w), max(v, w)) in G.edges
-                assert bool(G.masks[v] >> w & 1) == edge
+                edge = (min(v, w), max(v, w)) in edges(G)
+                assert bool(G.out_masks[v] >> w & 1) == edge
 
     def test_masks_are_not_fields(self):
         G, fresh = cycle_graph(5), cycle_graph(5)
-        assert G.masks
-        assert "masks" in vars(G) and "masks" not in vars(fresh)
+        assert G.out_masks
+        assert "out_masks" in vars(G) and "out_masks" not in vars(fresh)
         assert fresh == G and hash(fresh) == hash(G)
         assert repr(fresh) == repr(G)
         assert {G: "value"}[fresh] == "value"
@@ -121,7 +139,7 @@ class TestVertexConnectivity:
         # Exhaustive cut search versus networkx's flow-based computation.
         H = nx.Graph()
         H.add_nodes_from(range(G.vertex_count))
-        H.add_edges_from(G.edges)
+        H.add_edges_from(edges(G))
         assert vertex_connectivity(G) == nx.node_connectivity(H)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -178,7 +196,7 @@ class TestConnectedDomatic:
         # The cap of C4 is kappa = 2, so one search runs, at k = 2, and the
         # planted labels are its answer; a malformed tuple is a failed check
         # too, not a ValueError from VertexPartition.
-        monkeypatch.setattr(undirected, "partition_search", lambda *args: iter([witness]))
+        monkeypatch.setattr(solver, "partition_search", lambda *args: iter([witness]))
         with pytest.raises(WitnessCheckError):
             connected_domatic_number(cycle_graph(4))
 
@@ -189,9 +207,9 @@ class TestConnectedDomatic:
         value, blocks = result.value, result.witness.blocks()
         assert len(blocks) == value
         for block in blocks:
-            assert is_dominating_set(G, block)
-            assert is_connected_subset(G, block)
-        if len(G.edges) < G.vertex_count * (G.vertex_count - 1) // 2:
+            assert is_in_dominating(G, block)
+            assert is_strong_subset(G, block)
+        if len(edges(G)) < G.vertex_count * (G.vertex_count - 1) // 2:
             assert value <= vertex_connectivity(G)
 
 
@@ -200,14 +218,14 @@ class TestConnectedDomatic:
         best = None
         for blocks in _all_set_partitions(list(range(G.vertex_count))):
             if (best is None or len(blocks) > len(best)) and all(
-                is_connected_subset(G, b) and is_dominating_set(G, b) for b in blocks
+                is_strong_subset(G, b) and is_in_dominating(G, b) for b in blocks
             ):
                 best = blocks
         result = connected_domatic_number(G)
         value, witness = result.value, result.witness.blocks()
         assert value == len(best) == len(witness)
         for block in witness:
-            assert is_connected_subset(G, block) and is_dominating_set(G, block)
+            assert is_strong_subset(G, block) and is_in_dominating(G, block)
         assert witness == tuple(frozenset(b) for b in best)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -222,6 +240,39 @@ class TestConnectedDomatic:
     @given(connected_graphs(min_n=6, max_n=7))
     def test_matches_unpruned(self, G):
         self.check_against_unpruned(G)
+
+
+class TestGraphsAreSymmetricDigraphs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_connected_domatic_is_strong_in_domatic(self, n):
+        # On a graph, connected dominating sets are strong in-dominating sets.
+        for G in labeled_graphs(n):
+            if is_connected(G):
+                dc, ds = connected_domatic_number(G), strong_in_domatic_number(G)
+                assert (dc.value, dc.witness) == (ds.value, ds.witness)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            is_connected,
+            lambda G: is_clique(G, {0, 1}),
+            vertex_connectivity,
+            connected_domatic_number,
+            clique_domination_number,
+            is_planar,
+        ],
+        ids=[
+            "is_connected",
+            "is_clique",
+            "vertex_connectivity",
+            "connected_domatic_number",
+            "clique_domination_number",
+            "is_planar",
+        ],
+    )
+    def test_non_symmetric_digraph_rejected(self, c3, entry):
+        with pytest.raises(ValueError, match="symmetric"):
+            entry(c3)
 
 
 class TestCliqueDomination:
@@ -272,7 +323,7 @@ class TestPlanarity:
     def networkx_planar(G):
         H = nx.Graph()
         H.add_nodes_from(range(G.vertex_count))
-        H.add_edges_from(G.edges)
+        H.add_edges_from(edges(G))
         return nx.check_planarity(H)[0]
 
     def test_matches_networkx_up_to_order_five(self):
@@ -303,23 +354,23 @@ class TestPlanarity:
 class TestSetPredicates:
     def test_triangle(self):
         tri = complete_graph(3)
-        assert is_dominating_set(tri, {0}) and is_clique(tri, {0})
+        assert is_in_dominating(tri, {0}) and is_clique(tri, {0})
 
     def test_path_endpoints(self):
         p3 = path_graph(3)
-        assert not is_dominating_set(p3, {0})
-        assert is_dominating_set(p3, {1})
+        assert not is_in_dominating(p3, {0})
+        assert is_in_dominating(p3, {1})
 
     def test_connected_subset(self):
         p3 = path_graph(3)
-        assert is_connected_subset(p3, {0, 1})
-        assert not is_connected_subset(p3, {0, 2})
+        assert is_strong_subset(p3, {0, 1})
+        assert not is_strong_subset(p3, {0, 2})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            is_dominating_set(path_graph(2), set())
+            is_in_dominating(path_graph(2), set())
 
-    @pytest.mark.parametrize("predicate", [is_clique, is_connected_subset, is_dominating_set])
+    @pytest.mark.parametrize("predicate", [is_clique, is_strong_subset, is_in_dominating])
     @pytest.mark.parametrize("S", [{0, 3}, {-1}])
     def test_outside_vertex_rejected(self, predicate, S):
         with pytest.raises(ValueError, match="outside"):
@@ -334,7 +385,7 @@ class TestSetPredicates:
                 G = make_ugraph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
                 for size in range(1, n + 1):
                     for S in combinations(range(n), size):
-                        expected = all(e in G.edges for e in combinations(S, 2))
+                        expected = all(e in edges(G) for e in combinations(S, 2))
                         assert is_clique(G, S) == expected
                         checked += 1
         assert checked == 1 + 2 * 3 + 8 * 7 + 64 * 15 + 1024 * 31
