@@ -21,7 +21,6 @@ from .critical import (
     first_failure,
 )
 from .domination import (
-    VertexPartition,
     check_strong_in_domatic_partition,
     check_strong_out_domatic_partition,
 )
@@ -191,13 +190,13 @@ def cmd_transform(args) -> int:
 # generate
 
 
-def _parse_params(family: str, pairs: Optional[List[str]]) -> dict:
+def _parse_params(family: str, names: tuple, pairs: Optional[List[str]]) -> dict:
     params = {}
     for pair in pairs or []:
         if "=" not in pair:
             raise ParseError(f"parameter {pair!r} is not key=value")
         key, _, value = pair.partition("=")
-        if key not in _FAMILY_PARAMS[family]:
+        if key not in names:
             raise ParseError(f"family {family!r} takes no parameter {key!r}")
         if key in params:
             raise ParseError(f"parameter {key!r} is given twice")
@@ -205,60 +204,28 @@ def _parse_params(family: str, pairs: Optional[List[str]]) -> dict:
             params[key] = int(value)
         except ValueError:
             raise ParseError(f"parameter {pair!r} needs an integer value")
+    for key in names:
+        if key not in params:
+            raise ParseError(f"family {family!r} needs parameter {key!r}")
     return params
-
-
-# The parameters of each family, in the order a missing one is reported.
-_FAMILY_PARAMS = {
-    "complete": ("n",),
-    "cycle": ("n",),
-    "empty": ("n",),
-    "pair-critical": ("n",),
-    "order-value": ("p", "m"),
-    "critical-composition": ("p", "n"),
-}
 
 
 def cmd_generate(args) -> int:
     family = args.family
-    params = _parse_params(family, args.params)
-    for key in _FAMILY_PARAMS[family]:
-        if key not in params:
-            raise ParseError(f"family {family!r} needs parameter {key!r}")
-    partition = claimed_value = claimed_critical = None
+    names, build = families.GENERATE[family]
+    params = _parse_params(family, names, args.params)
     try:
-        if family == "complete":
-            D = families.complete_digraph(params["n"])
-            partition = VertexPartition.from_blocks([[v] for v in range(params["n"])])
-            claimed_value = params["n"]
-        elif family == "cycle":
-            D = families.directed_cycle(params["n"])
-            if params["n"] == 2:
-                partition = VertexPartition.from_blocks([[0], [1]])
-                claimed_value = 2
-            else:
-                partition = VertexPartition.from_blocks([range(params["n"])])
-                claimed_value = 1
-        elif family == "empty":
-            D = families.empty_digraph(params["n"])
-        else:
-            inst = {
-                "pair-critical": families.pair_critical_family,
-                "order-value": families.order_value_family,
-                "critical-composition": families.critical_composition_family,
-            }[family](*(params[key] for key in _FAMILY_PARAMS[family]))
-            D, partition = inst.digraph, inst.canonical_partition
-            claimed_value, claimed_critical = inst.claimed_value, inst.claimed_critical
+        inst = build(*(params[key] for key in names))
     except ValueError as exc:
         raise Inapplicable(str(exc))
-    _write_text(args.out, fileio.write_digraph(D))
-    if partition is not None:
-        _write_text(args.out + ".partition", fileio.write_partition(partition))
+    _write_text(args.out, fileio.write_digraph(inst.digraph))
+    if inst.canonical_partition is not None:
+        _write_text(args.out + ".partition", fileio.write_partition(inst.canonical_partition))
     claims = {
         "family": family,
         "params": params,
-        "claimed_value": claimed_value,
-        "claimed_critical": claimed_critical,
+        "claimed_value": inst.claimed_value,
+        "claimed_critical": inst.claimed_critical,
     }
     _write_text(args.out + ".claims.json", json.dumps(claims, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
@@ -310,6 +277,8 @@ def cmd_oracle(args) -> int:
         raise Inapplicable("exhaustive scan supports orders 3 and 4")
     if args.up_to > ORACLE_VERTEX_CAP:
         raise Inapplicable(f"oracle cross-checks are capped at order {ORACLE_VERTEX_CAP}")
+    if args.random < 0:
+        raise Inapplicable("--random must be nonnegative")
     low = args.max_n + 1
     if args.random and low > args.up_to:
         raise Inapplicable("--up-to must exceed --max-n for random instances")
@@ -380,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("generate", help="generate a named digraph family")
-    p.add_argument("--family", required=True, choices=list(_FAMILY_PARAMS))
+    p.add_argument("--family", required=True, choices=list(families.GENERATE))
     p.add_argument("--params", nargs="*", metavar="KEY=VALUE")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

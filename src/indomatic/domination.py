@@ -22,12 +22,14 @@ from .core import (
 
 
 def _check_block_indices(indices, block_count: int) -> None:
-    """Raise ``ValueError`` unless every index lies in ``range(block_count)``
-    and each block gets at least one."""
+    """Raise ``ValueError`` unless all are integers, every index lies in
+    ``range(block_count)`` and each block gets at least one."""
+    if type(block_count) is not int:
+        raise ValueError(f"block count {block_count!r} is not an integer")
     counts = [0] * block_count
     for b in indices:
-        if not (0 <= b < block_count):
-            raise ValueError(f"block index {b} outside [0,{block_count})")
+        if type(b) is not int or not (0 <= b < block_count):
+            raise ValueError(f"block index {b!r} outside [0,{block_count})")
         counts[b] += 1
     if any(c == 0 for c in counts):
         raise ValueError("every block must be nonempty")
@@ -49,13 +51,13 @@ class VertexPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
-        blocks = [sorted(set(b)) for b in blocks]
+        blocks = [set(b) for b in blocks]
         if any(not b for b in blocks):
             raise ValueError("empty block in partition")
         members = [v for b in blocks for v in b]
         if len(members) != len(set(members)):
             raise ValueError("blocks overlap")
-        if sorted(members) != list(range(len(members))):
+        if any(type(v) is not int for v in members) or sorted(members) != list(range(len(members))):
             raise ValueError("blocks must cover a dense vertex range exactly once")
         block_of = [0] * len(members)
         for i, b in enumerate(blocks):

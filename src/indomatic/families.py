@@ -3,7 +3,7 @@ partitions and guaranteed invariant values."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import Digraph, is_strong, make_digraph
@@ -16,13 +16,13 @@ class FamilyInstance:
     """A generated digraph carrying its claims as data, so test suites can
     compare promised against computed values generically.
 
-    ``claimed_critical`` is None when the family makes no criticality
-    promise for the given parameters.
+    ``claimed_value`` and ``claimed_critical`` are None when the family
+    makes no such promise for the given parameters.
     """
 
     digraph: Digraph
     canonical_partition: Optional[VertexPartition]
-    claimed_value: int
+    claimed_value: Optional[int]
     claimed_critical: Optional[bool]
 
 
@@ -121,10 +121,36 @@ def critical_composition_family(p: int, n: int) -> FamilyInstance:
     if p % n != 0:
         raise ValueError("requires n to divide p")
     if p == n:
-        digraph = complete_digraph(p)
-        partition = VertexPartition.from_blocks([[v] for v in range(p)])
-        return FamilyInstance(digraph, partition, n, p >= 3)
+        return replace(_complete_instance(p), claimed_critical=p >= 3)
     return order_value_family(p, n)
+
+
+def _complete_instance(n: int) -> FamilyInstance:
+    """Semicomplete, so its singletons are a maximum partition."""
+    D = complete_digraph(n)
+    return FamilyInstance(D, VertexPartition.from_blocks([[v] for v in range(n)]), n, None)
+
+
+def _cycle_instance(n: int) -> FamilyInstance:
+    D = directed_cycle(n)
+    blocks = [[0], [1]] if n == 2 else [range(n)]
+    return FamilyInstance(D, VertexPartition.from_blocks(blocks), len(blocks), None)
+
+
+def _empty_instance(n: int) -> FamilyInstance:
+    return FamilyInstance(empty_digraph(n), None, None, None)
+
+
+# The families of ``indomatic generate``: each one's parameter names, in the
+# order a missing one is reported, and its builder, which takes them so.
+GENERATE = {
+    "complete": (("n",), _complete_instance),
+    "cycle": (("n",), _cycle_instance),
+    "empty": (("n",), _empty_instance),
+    "pair-critical": (("n",), pair_critical_family),
+    "order-value": (("p", "m"), order_value_family),
+    "critical-composition": (("p", "n"), critical_composition_family),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,8 @@ def check_all(
 
     if D.vertex_count == 0:
         raise ValueError("law checks need a nonempty digraph")
+    if subdigraph_samples < 0:
+        raise ValueError(f"subdigraph_samples={subdigraph_samples} is negative")
 
     # Each digraph the report needs is solved once.
     solves: Dict[Digraph, SolveResult] = {}

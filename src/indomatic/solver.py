@@ -161,8 +161,7 @@ def strong_in_domatic_partitions(D: Digraph, k: int) -> Iterator[VertexPartition
     once, blocks ordered by minimum member; the first is the canonical
     witness for k."""
     _require_block_count(D, k)
-    for labels in _strong_in_domatic_search(D, k):
-        yield VertexPartition(labels, k)
+    return (VertexPartition(labels, k) for labels in _strong_in_domatic_search(D, k))
 
 
 def exists_partition_into_k(D: Digraph, k: int) -> Optional[VertexPartition]:

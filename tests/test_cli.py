@@ -521,3 +521,11 @@ class TestOracleCommand:
         assert capsys.readouterr().err == (
             "not applicable: --up-to must exceed --max-n for random instances\n"
         )
+
+    def test_negative_random_rejected_before_the_scan(self, monkeypatch, capsys):
+        def no_scan(n):
+            raise AssertionError("scanned before checking --random")
+
+        monkeypatch.setattr(cli.families, "all_labeled_digraphs", no_scan)
+        assert run("oracle", "--max-n", "3", "--random", "-2") == 3
+        assert capsys.readouterr() == ("", "not applicable: --random must be nonnegative\n")

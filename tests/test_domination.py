@@ -176,7 +176,7 @@ class TestArcPartitionValidation:
         with pytest.raises(ValueError, match="listed twice"):
             ArcPartition((((0, 1), 0), ((0, 1), 1), ((1, 0), 0), ((1, 0), 1)), 2)
 
-    @pytest.mark.parametrize("index", [-1, 5])
+    @pytest.mark.parametrize("index", [-1, 5, 0.0])
     def test_block_index_outside_range_rejected(self, index):
         with pytest.raises(ValueError, match=r"outside \[0,1\)"):
             ArcPartition((((0, 1), index), ((1, 0), index)), 1)
@@ -190,6 +190,26 @@ class TestArcPartitionValidation:
             ArcPartition.from_blocks([[(0, 1), (1, 0)], [(0, 1)]])
         with pytest.raises(ValueError, match="nonempty"):
             ArcPartition.from_blocks([[(0, 1), (1, 0)], []])
+
+
+class TestNonIntegerInput:
+    # A caller that rejects a malformed witness by catching ValueError must
+    # not see a TypeError.
+    @pytest.mark.parametrize(
+        "block_of,block_count",
+        [((0.0, 1, 2), 3), ((0, 1, 2), 3.0), (("a", 1, 2), 3)],
+        ids=["float-index", "float-count", "str-index"],
+    )
+    def test_vertex_partition(self, block_of, block_count):
+        with pytest.raises(ValueError, match="block"):
+            VertexPartition(block_of, block_count)
+
+    @pytest.mark.parametrize(
+        "blocks", [[[0.0], [1]], [[0], [1.0]], [["a"], [1]]], ids=["float", "float-last", "str"]
+    )
+    def test_from_blocks_member(self, blocks):
+        with pytest.raises(ValueError, match="dense vertex range"):
+            VertexPartition.from_blocks(blocks)
 
 
 class TestOutDomaticDuality:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from indomatic import (
@@ -18,6 +20,7 @@ from indomatic import (
     pair_critical_family,
     strong_in_domatic_number,
 )
+from indomatic.families import GENERATE
 
 
 class TestBasicGenerators:
@@ -157,6 +160,39 @@ class TestCriticalCompositionFamily:
             critical_composition_family(7, 2)
         with pytest.raises(ValueError):
             critical_composition_family(6, 1)
+
+
+class TestGenerateTable:
+    # The largest parameter tried for each family (every family needs one).
+    # Each parameter runs from 0 up to it; values the builder rejects are
+    # skipped.
+    LARGEST = {
+        "complete": 6,
+        "cycle": 8,
+        "empty": 4,
+        "pair-critical": 5,
+        "order-value": 9,
+        "critical-composition": 8,
+    }
+
+    @pytest.mark.parametrize("family", sorted(GENERATE))
+    def test_claims_match_solver(self, family):
+        names, build = GENERATE[family]
+        built = 0
+        for params in product(range(self.LARGEST[family] + 1), repeat=len(names)):
+            try:
+                inst = build(*params)
+            except ValueError:
+                continue
+            built += 1
+            D, P = inst.digraph, inst.canonical_partition
+            if P is not None:
+                assert is_strong_in_domatic_partition(D, P), params
+            if inst.claimed_value is not None:
+                assert strong_in_domatic_number(D).value == inst.claimed_value, params
+            if inst.claimed_critical is not None:
+                assert is_strong_in_domatic_critical(D) == inst.claimed_critical, params
+        assert built
 
 
 class TestScanHelpers:

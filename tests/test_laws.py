@@ -114,6 +114,10 @@ class TestUpperBound:
 
 
 class TestCheckAll:
+    def test_negative_sample_count_rejected(self, k3):
+        with pytest.raises(ValueError, match="subdigraph_samples=-2 is negative"):
+            check_all(k3, subdigraph_samples=-2)
+
     def test_complete4_all_applicable_hold(self, k4):
         report = check_all(k4)
         assert not report.violations()

@@ -146,13 +146,14 @@ class TestStrongInDomaticPartitions:
         # the search places some of them by force.
         self.check_every_k(D)
 
+    # The preconditions are checked at the call, before any iteration.
     def test_non_strong_rejected(self):
         with pytest.raises(NotStrongError):
-            next(strong_in_domatic_partitions(make_digraph(2, [(0, 1)]), 1))
+            strong_in_domatic_partitions(make_digraph(2, [(0, 1)]), 1)
 
     def test_k_out_of_range(self, k3):
-        with pytest.raises(ValueError):
-            next(strong_in_domatic_partitions(k3, 0))
+        with pytest.raises(ValueError, match=r"k=0 outside \[1,3\]"):
+            strong_in_domatic_partitions(k3, 0)
 
 
 class TestStrongInDomaticNumber:
