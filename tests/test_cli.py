@@ -120,30 +120,80 @@ class TestCompute:
     def test_missing_file(self):
         assert run("compute", "--in", "/nonexistent.dg", "--what", "dsminus") == 2
 
-    @pytest.mark.parametrize(
-        "text,code,err",
-        [
-            ("garbage\n", 2, "input error: line 1: expected 'n <vertex_count>', got 'garbage'\n"),
-            (None, 2, "input error: [Errno 2] No such file or directory: {path!r}\n"),
-            (
-                "n 3\n0 1\n1 2\n",
-                3,
-                "not applicable: no strong in-domatic partition exists: "
-                "a digraph has one if and only if it is strong\n",
-            ),
-            ("n 0\n", 2, "input error: strong connectivity is undefined for the empty digraph\n"),
-            ("n -1\n", 2, "input error: line 1: vertex_count must be nonnegative, got -1\n"),
-            ("n -1\n0 1\n", 2, "input error: line 1: vertex_count must be nonnegative, got -1\n"),
-        ],
-        ids=["malformed", "missing", "not-strong", "empty", "negative", "negative-with-arc"],
+    _NOT_STRONG = (
+        "not applicable: no strong in-domatic partition exists: "
+        "a digraph has one if and only if it is strong\n"
     )
-    def test_error_bytes(self, tmp_path, capsys, text, code, err):
+    _NO_ARCS = "not applicable: arc covers need a digraph with at least one arc\n"
+    _DC_DISCONNECTED = (
+        "not applicable: connected domatic number needs a connected underlying graph\n"
+    )
+    _KAPPA = (
+        "not applicable: vertex connectivity needs a connected underlying graph "
+        "of order two or more\n"
+    )
+    _TWO_COMPONENTS = "n 4\n0 1\n1 0\n2 3\n3 2\n"
+
+    @pytest.mark.parametrize(
+        "text,what,code,out,err",
+        [
+            (
+                "garbage\n",
+                "dsminus",
+                2,
+                "",
+                "input error: line 1: expected 'n <vertex_count>', got 'garbage'\n",
+            ),
+            (None, "dsminus", 2, "", "input error: [Errno 2] No such file or directory: {path!r}\n"),
+            ("n 3\n0 1\n1 2\n", "dsminus", 3, "", _NOT_STRONG),
+            (
+                "n 0\n",
+                "dsminus",
+                2,
+                "",
+                "input error: strong connectivity is undefined for the empty digraph\n",
+            ),
+            ("n -1\n", "dsminus", 2, "", "input error: line 1: vertex_count must be nonnegative, got -1\n"),
+            (
+                "n -1\n0 1\n",
+                "dsminus",
+                2,
+                "",
+                "input error: line 1: vertex_count must be nonnegative, got -1\n",
+            ),
+            ("n 0\n", "lambda", 3, "", _NO_ARCS),
+            ("n 1\n", "lambda", 3, "", _NO_ARCS),
+            ("n 3\n", "lambda", 3, "", _NO_ARCS),
+            (_TWO_COMPONENTS, "lambda", 3, "", _NOT_STRONG),
+            ("n 0\n", "dc", 2, "", "input error: connectivity is undefined for the empty graph\n"),
+            ("n 1\n", "dc", 0, "1\n0\n", ""),
+            ("n 3\n", "dc", 3, "", _DC_DISCONNECTED),
+            (_TWO_COMPONENTS, "dc", 3, "", _DC_DISCONNECTED),
+            ("n 0\n", "kappa", 3, "", _KAPPA),
+            ("n 1\n", "kappa", 3, "", _KAPPA),
+            ("n 3\n", "kappa", 3, "", _KAPPA),
+            (_TWO_COMPONENTS, "kappa", 3, "", _KAPPA),
+            ("n 0\n", "gammacl", 2, "", "input error: empty graph\n"),
+            ("n 1\n", "gammacl", 0, "1\n", ""),
+            ("n 3\n", "gammacl", 0, "none\n", ""),
+            (_TWO_COMPONENTS, "gammacl", 0, "none\n", ""),
+        ],
+        ids=[
+            "malformed", "missing", "not-strong", "empty", "negative", "negative-with-arc",
+            *(
+                f"{what}-{graph}"
+                for what in ("lambda", "dc", "kappa", "gammacl")
+                for graph in ("empty", "single", "arcless", "two-components")
+            ),
+        ],
+    )
+    def test_error_bytes(self, tmp_path, capsys, text, what, code, out, err):
         path = tmp_path / "in.dg"
         if text is not None:
             path.write_text(text)
-        assert run("compute", "--in", str(path), "--what", "dsminus") == code
+        assert run("compute", "--in", str(path), "--what", what) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
+        assert captured.out == out
         assert captured.err == err.format(path=str(path))
 
 
