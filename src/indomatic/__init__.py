@@ -3,6 +3,7 @@ invariants, constructions and laws built on them."""
 
 from .core import (
     Digraph,
+    Inapplicable,
     NotStrongError,
     are_isomorphic,
     arc_induced_subdigraph,

@@ -13,7 +13,7 @@ from random import Random
 from typing import List, Optional
 
 from . import families, fileio, laws, transforms
-from .core import Digraph, NotStrongError, converse, is_strong
+from .core import Digraph, Inapplicable, converse, is_strong
 from .critical import (
     NOT_APPLICABLE,
     characterize,
@@ -36,7 +36,6 @@ from .solver import (
 from .undirected import (
     clique_domination_number,
     connected_domatic_number,
-    is_connected,
     underlying_graph,
     vertex_connectivity,
 )
@@ -47,10 +46,6 @@ EXIT_INPUT = 2
 EXIT_INAPPLICABLE = 3
 
 ORACLE_LAMBDA_ARCS = 8  # arc partitions are only cross-checked below this
-
-
-class Inapplicable(Exception):
-    """Requested operation has nothing to say about this input."""
 
 
 def _read_text(path: str) -> str:
@@ -71,55 +66,39 @@ def _write_text(path: str, text: str) -> None:
 # compute
 
 
-# The exact maxima: each returns a SolveResult.
-_MAXIMA = {
-    "dsminus": strong_in_domatic_number,
-    "dsplus": strong_out_domatic_number,
-    "lambda": lambda_number,
-    "indomatic": in_domatic_number,
-    # Applied to the underlying graph, which cmd_compute builds.
-    "dc": connected_domatic_number,
+def _on_graph(invariant):
+    """``invariant`` of the underlying graph of the digraph read."""
+    return lambda D: invariant(underlying_graph(D))
+
+
+# Each --what value: its function of the digraph read, and the writer of
+# its witness.  The function returns a SolveResult, or, where the writer
+# is None, a bare number (None, when there is none, prints as ``none``).
+_INVARIANTS = {
+    "dsminus": (strong_in_domatic_number, fileio.write_partition),
+    "dsplus": (strong_out_domatic_number, fileio.write_partition),
+    "lambda": (lambda_number, fileio.write_arc_partition),
+    "indomatic": (in_domatic_number, fileio.write_partition),
+    "dc": (_on_graph(connected_domatic_number), fileio.write_partition),
+    "kappa": (_on_graph(vertex_connectivity), None),
+    "gammacl": (_on_graph(clique_domination_number), None),
 }
 
 
 def cmd_compute(args) -> int:
-    what = args.what
-    if args.witness_out and what not in _MAXIMA:
-        raise Inapplicable(f"{what} has no witness to write")
-    D = _read_digraph(args.infile)
-    witness_text = None
-    if what in _MAXIMA:
-        if what == "lambda" and (D.vertex_count < 2 or not D.arcs):
-            raise Inapplicable("arc covers need a digraph with at least one arc")
-        if what == "dc":
-            D = underlying_graph(D)
-            if not is_connected(D):
-                raise Inapplicable("connected domatic number needs a connected underlying graph")
-        result = _MAXIMA[what](D)
-        value = result.value
-        write = fileio.write_arc_partition if what == "lambda" else fileio.write_partition
-        witness_text = write(result.witness)
-    elif what == "kappa":
-        G = underlying_graph(D)
-        if G.vertex_count < 2 or not is_connected(G):
-            raise Inapplicable(
-                "vertex connectivity needs a connected underlying graph of order two or more"
-            )
-        value = vertex_connectivity(G)
-    elif what == "gammacl":
-        G = underlying_graph(D)
-        value = clique_domination_number(G)
-        if value is None:
-            print("none")
-            return EXIT_OK
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown invariant {what!r}")
-    print(value)
-    if witness_text is not None:
-        if args.witness_out:
-            _write_text(args.witness_out, witness_text)
-        else:
-            sys.stdout.write(witness_text)
+    compute, write = _INVARIANTS[args.what]
+    if args.witness_out and write is None:
+        raise Inapplicable(f"{args.what} has no witness to write")
+    result = compute(_read_digraph(args.infile))
+    if write is None:
+        print("none" if result is None else result)
+        return EXIT_OK
+    print(result.value)
+    witness = write(result.witness)
+    if args.witness_out:
+        _write_text(args.witness_out, witness)
+    else:
+        sys.stdout.write(witness)
     return EXIT_OK
 
 
@@ -329,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--what",
         required=True,
-        choices=["dsminus", "dsplus", "lambda", "indomatic", "dc", "kappa", "gammacl"],
+        choices=list(_INVARIANTS),
     )
     p.add_argument("--witness-out", dest="witness_out")
     p.set_defaults(func=cmd_compute)
@@ -385,8 +364,9 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    # NotStrongError is a ValueError, and so is ParseError: order matters.
-    except (NotStrongError, Inapplicable) as exc:
+    # Inapplicable (NotStrongError among them) is a ValueError, and so is
+    # ParseError: order matters.
+    except Inapplicable as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
     except (OSError, ValueError) as exc:

@@ -13,7 +13,12 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple
 
 
-class NotStrongError(ValueError):
+class Inapplicable(ValueError):
+    """The operation has nothing to say about this input: the input is
+    well formed, but outside the operation's domain."""
+
+
+class NotStrongError(Inapplicable):
     """An operation that exists only for strongly connected digraphs was
     applied to a digraph that is not strong."""
 
@@ -143,8 +148,17 @@ def _dominates(masks: Sequence[int], members: int) -> bool:
 
 
 def _check_vertex(D, v: int) -> None:
-    if not (0 <= v < D.vertex_count):
-        raise ValueError(f"vertex {v} outside [0,{D.vertex_count})")
+    if type(v) is not int or not (0 <= v < D.vertex_count):
+        raise ValueError(f"vertex {v!r} outside [0,{D.vertex_count})")
+
+
+def _require_arc(D, arc) -> Arc:
+    """``arc`` as a tuple, checked to be an arc of D with integer endpoints:
+    ``(0.0, 1)`` hashes like ``(0, 1)`` but is not one."""
+    u, v = arc
+    if (u, v) not in D.arcs or type(u) is not int or type(v) is not int:
+        raise ValueError(f"({u},{v}) is not an arc of the digraph")
+    return u, v
 
 
 def _require_subset(D, S) -> int:
@@ -210,8 +224,7 @@ def arc_induced_subdigraph(D: Digraph, E) -> tuple:
     if not arcs:
         raise ValueError("cannot induce on an empty arc set")
     for a in arcs:
-        if a not in D.arcs:
-            raise ValueError(f"{a} is not an arc of the digraph")
+        _require_arc(D, a)
     members = sorted({u for u, _ in arcs} | {v for _, v in arcs})
     index = {old: new for new, old in enumerate(members)}
     new_arcs = [(index[u], index[v]) for u, v in arcs]
@@ -246,9 +259,7 @@ def stays_strong_without(D: Digraph, arc: Arc) -> bool:
     """For a strong ``D``: ``D`` minus ``arc`` is still strong.  That holds
     exactly when the head of (u, v) stays reachable from its tail, since a
     walk through the arc can take that detour instead."""
-    u, v = arc
-    if (u, v) not in D.arcs:
-        raise ValueError(f"({u},{v}) is not an arc of the digraph")
+    u, v = _require_arc(D, arc)
     return _bypassed(D.out_masks, (1 << D.vertex_count) - 1, u, v)
 
 
@@ -269,9 +280,7 @@ def is_complete(D: Digraph) -> bool:
 
 def is_symmetric_arc(D: Digraph, arc: Arc) -> bool:
     """True iff the reverse of ``arc`` is also an arc."""
-    u, v = arc
-    if (u, v) not in D.arcs:
-        raise ValueError(f"({u},{v}) is not an arc of the digraph")
+    u, v = _require_arc(D, arc)
     return (v, u) in D.arcs
 
 
@@ -282,10 +291,7 @@ def converse(D: Digraph) -> Digraph:
 
 def delete_arc(D: Digraph, arc: Arc) -> Digraph:
     """Copy of ``D`` without the given arc."""
-    u, v = arc
-    if (u, v) not in D.arcs:
-        raise ValueError(f"({u},{v}) is not an arc of the digraph")
-    return Digraph(D.vertex_count, D.arcs - {(u, v)})
+    return Digraph(D.vertex_count, D.arcs - {_require_arc(D, arc)})
 
 
 def are_isomorphic(D: Digraph, H: Digraph) -> bool:

@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     _dominates,
+    _require_arc,
     _require_strong,
     _require_subset,
     _strong_on,
@@ -22,10 +23,11 @@ from .core import (
 
 
 def _check_block_indices(indices, block_count: int) -> None:
-    """Raise ``ValueError`` unless all are integers, every index lies in
-    ``range(block_count)`` and each block gets at least one."""
-    if type(block_count) is not int:
-        raise ValueError(f"block count {block_count!r} is not an integer")
+    """Raise ``ValueError`` unless all are integers, ``block_count`` is
+    nonnegative, every index lies in ``range(block_count)`` and each block
+    gets at least one."""
+    if type(block_count) is not int or block_count < 0:
+        raise ValueError(f"block count {block_count!r} is not a nonnegative integer")
     counts = [0] * block_count
     for b in indices:
         if type(b) is not int or not (0 <= b < block_count):
@@ -51,14 +53,19 @@ class VertexPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
+        blocks = [list(b) for b in blocks]
+        dense = "blocks must cover a dense vertex range exactly once"
+        # Before any set is built: a member that is a list is unhashable.
+        if any(type(v) is not int for b in blocks for v in b):
+            raise ValueError(dense)
         blocks = [set(b) for b in blocks]
         if any(not b for b in blocks):
             raise ValueError("empty block in partition")
         members = [v for b in blocks for v in b]
         if len(members) != len(set(members)):
             raise ValueError("blocks overlap")
-        if any(type(v) is not int for v in members) or sorted(members) != list(range(len(members))):
-            raise ValueError("blocks must cover a dense vertex range exactly once")
+        if sorted(members) != list(range(len(members))):
+            raise ValueError(dense)
         block_of = [0] * len(members)
         for i, b in enumerate(blocks):
             for v in b:
@@ -91,6 +98,9 @@ class ArcPartition:
     block_count: int
 
     def __post_init__(self):
+        for arc, _ in self.block_of:
+            if type(arc) is not tuple or len(arc) != 2 or any(type(end) is not int for end in arc):
+                raise ValueError(f"arc {arc!r} is not a pair of integers")
         if len({arc for arc, _ in self.block_of}) != len(self.block_of):
             raise ValueError("an arc is listed twice")
         _check_block_indices([b for _, b in self.block_of], self.block_count)
@@ -208,8 +218,7 @@ def is_strong_cover(D: Digraph, E) -> bool:
     if not E:
         raise ValueError("arc set must be nonempty")
     for a in E:
-        if a not in D.arcs:
-            raise ValueError(f"{a} is not an arc of the digraph")
+        _require_arc(D, a)
     # E spans every vertex and is strong exactly when the digraph (V, E)
     # is strong: n >= 2 here, so a vertex E misses is isolated in it.
     return is_strong(Digraph(D.vertex_count, E))

@@ -27,6 +27,7 @@ from typing import Iterator, List, Optional, Union
 from ._search import SearchCounter, arc_partition_search, partition_search
 from .core import (
     Digraph,
+    Inapplicable,
     NotStrongError,
     _require_strong,
     converse,
@@ -230,9 +231,10 @@ def lambda_number(D: Digraph) -> SolveResult:
     """Maximum number of blocks in a partition of the arcs into strong
     covers.  Unions of strong covers are strong covers, so feasible sizes
     again form a prefix.  Every block spans every vertex with an out-arc
-    and an in-arc, so the cap is the smaller minimum degree."""
-    if D.vertex_count < 2 or not D.arcs:
-        raise ValueError("arc covers need a digraph with at least one arc")
+    and an in-arc, so the cap is the smaller minimum degree.  Raises
+    ``Inapplicable`` on a digraph without arcs."""
+    if not D.arcs:
+        raise Inapplicable("arc covers need a digraph with at least one arc")
     _require_strong(D, _NO_PARTITION_MSG)
     arcs = D.sorted_arcs()
     return _largest(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .core import Digraph, _reaches, _require_subset, is_complete, make_digraph
+from .core import Digraph, Inapplicable, _reaches, _require_subset, is_complete, make_digraph
 from .domination import VertexPartition, is_in_dominating, is_strong_in_domatic_partition
 from .solver import SolveResult, _largest, _strong_in_domatic_search, search_cap
 
@@ -56,12 +56,13 @@ def is_clique(G: Digraph, S) -> bool:
 
 def vertex_connectivity(G: Digraph) -> int:
     """Minimum number of vertices whose removal disconnects G, found by
-    exhaustive cut search; complete graphs return n-1 by convention."""
+    exhaustive cut search; complete graphs return n-1 by convention.
+    Raises ``Inapplicable`` unless G is connected of order two or more."""
     n = G.vertex_count
-    if n < 2:
-        raise ValueError("vertex connectivity needs at least two vertices")
-    if not is_connected(G):
-        raise ValueError("vertex connectivity is defined for connected graphs")
+    if n < 2 or not is_connected(G):
+        raise Inapplicable(
+            "vertex connectivity needs a connected underlying graph of order two or more"
+        )
     full = (1 << n) - 1
     bits = [1 << v for v in range(n)]
     for size in range(0, n - 1):
@@ -81,20 +82,18 @@ def connected_domatic_number(G: Digraph) -> SolveResult:
     On a graph, a connected dominating set is a strong in-dominating set,
     so this is the strong in-domatic search and check on G.  The cap is
     ``search_cap``, lowered to the vertex connectivity off the complete
-    case: there kappa <= delta, so it is min(delta + 1, kappa).  A failed
-    witness check raises ``WitnessCheckError``.
+    case: there kappa <= delta, so it is min(delta + 1, kappa).  Raises
+    ``Inapplicable`` unless G is connected, and a failed witness check
+    raises ``WitnessCheckError``.
     """
-    n = G.vertex_count
-    if n == 0:
-        raise ValueError("empty graph")
     if not is_connected(G):
-        raise ValueError("connected domatic partitions need a connected graph")
+        raise Inapplicable("connected domatic number needs a connected underlying graph")
     cap = search_cap(G)
     if not is_complete(G):
         cap = min(cap, vertex_connectivity(G))
     return _largest(
         G, lambda k, counter: _strong_in_domatic_search(G, k, counter),
-        cap, n, VertexPartition,
+        cap, G.vertex_count, VertexPartition,
         is_strong_in_domatic_partition, "connected domatic partition",
     )
 

@@ -17,8 +17,10 @@ from indomatic import (
     induced_subdigraph,
     in_neighbors,
     is_complete,
+    is_in_dominating,
     is_semicomplete,
     is_strong,
+    is_strong_cover,
     is_strong_subset,
     is_symmetric_arc,
     make_digraph,
@@ -264,6 +266,34 @@ class TestStaysStrongWithout:
     def test_non_arc_rejected(self, c4):
         with pytest.raises(ValueError):
             stays_strong_without(c4, (1, 0))
+
+
+class TestNonIntegerEndpoints:
+    # (0.0, 1) hashes like the arc (0, 1) and 0.0 like the vertex 0; each
+    # entry point rejects them with ValueError, neither accepting them nor
+    # failing with a TypeError.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda D: stays_strong_without(D, (0.0, 1)),
+            lambda D: delete_arc(D, (0.0, 1)),
+            lambda D: is_symmetric_arc(D, (0, 1.0)),
+            lambda D: arc_induced_subdigraph(D, [(0.0, 1)]),
+            lambda D: is_strong_cover(D, [(0.0, 1), (1, 2), (2, 0)]),
+            lambda D: is_in_dominating(D, [0.0]),
+            lambda D: is_strong_subset(D, [0.0, 1, 2]),
+            lambda D: induced_subdigraph(D, [0.0, 1]),
+            lambda D: out_neighbors(D, 0.0),
+        ],
+        ids=[
+            "stays_strong_without", "delete_arc", "is_symmetric_arc", "arc_induced_subdigraph",
+            "is_strong_cover", "is_in_dominating", "is_strong_subset", "induced_subdigraph",
+            "out_neighbors",
+        ],
+    )
+    def test_rejected(self, c3, call):
+        with pytest.raises(ValueError, match=r"is not an arc|outside \[0,3\)"):
+            call(c3)
 
 
 class TestShapePredicates:

@@ -194,18 +194,30 @@ class TestArcPartitionValidation:
 
 class TestNonIntegerInput:
     # A caller that rejects a malformed witness by catching ValueError must
-    # not see a TypeError.
+    # neither see a TypeError nor have the witness accepted.
     @pytest.mark.parametrize(
         "block_of,block_count",
-        [((0.0, 1, 2), 3), ((0, 1, 2), 3.0), (("a", 1, 2), 3)],
-        ids=["float-index", "float-count", "str-index"],
+        [((0.0, 1, 2), 3), ((0, 1, 2), 3.0), (("a", 1, 2), 3), ((), -1)],
+        ids=["float-index", "float-count", "str-index", "negative-count"],
     )
     def test_vertex_partition(self, block_of, block_count):
         with pytest.raises(ValueError, match="block"):
             VertexPartition(block_of, block_count)
 
     @pytest.mark.parametrize(
-        "blocks", [[[0.0], [1]], [[0], [1.0]], [["a"], [1]]], ids=["float", "float-last", "str"]
+        "block_of,block_count,message",
+        [((((0.0, 1), 0), ((1, 0), 0)), 1, "pair of integers"), ((), -2, "block count")],
+        ids=["float-endpoint", "negative-count"],
+    )
+    def test_arc_partition(self, block_of, block_count, message):
+        # (0.0, 1) hashes like (0, 1), so a cover check would pass it on.
+        with pytest.raises(ValueError, match=message):
+            ArcPartition(block_of, block_count)
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[0.0], [1]], [[0], [1.0]], [["a"], [1]], [[[0]]]],
+        ids=["float", "float-last", "str", "list"],
     )
     def test_from_blocks_member(self, blocks):
         with pytest.raises(ValueError, match="dense vertex range"):
