@@ -144,8 +144,6 @@ _TRANSFORMS = {
         "compose needs one --with digraph per host vertex ({need}), got {got}",
     ),
 }
-# The ops whose vertices include D's arcs.
-_ARC_OPS = ("line", "subdivision", "root", "middle", "total")
 
 
 def cmd_transform(args) -> int:
@@ -156,8 +154,6 @@ def cmd_transform(args) -> int:
     need = D.vertex_count if count is None else count
     if len(extra) != need:
         raise ParseError(error.format(op=op, need=need, got=len(extra)))
-    if op in _ARC_OPS and not D.arcs:
-        raise Inapplicable(f"{op} needs at least one arc")
     out, origins = build(D, *extra)
     _write_text(args.out, fileio.write_digraph(out))
     if args.dot:
@@ -193,10 +189,7 @@ def cmd_generate(args) -> int:
     family = args.family
     names, build = families.GENERATE[family]
     params = _parse_params(family, names, args.params)
-    try:
-        inst = build(*(params[key] for key in names))
-    except ValueError as exc:
-        raise Inapplicable(str(exc))
+    inst = build(*(params[key] for key in names))
     _write_text(args.out, fileio.write_digraph(inst.digraph))
     if inst.canonical_partition is not None:
         _write_text(args.out + ".partition", fileio.write_partition(inst.canonical_partition))

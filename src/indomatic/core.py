@@ -38,10 +38,6 @@ class Digraph:
     vertex_count: int
     arcs: frozenset
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
     def sorted_arcs(self) -> list:
         return sorted(self.arcs)
 
@@ -66,7 +62,7 @@ def make_digraph(vertex_count: int, arcs: Iterable[Arc]) -> Digraph:
     arcs.  Duplicates are an error rather than being silently merged, so a
     caller that constructs an arc list twice over learns about it.
     """
-    arc_list = [(int(u), int(v)) for u, v in arcs]
+    arc_list = [(u, v) for u, v in arcs]
     fault = _digraph_fault(vertex_count, arc_list)
     if fault is not None:
         raise ValueError(fault[1])
@@ -74,17 +70,21 @@ def make_digraph(vertex_count: int, arcs: Iterable[Arc]) -> Digraph:
 
 
 def _digraph_fault(vertex_count: int, arcs: Sequence[Arc]) -> Optional[tuple]:
-    """The first rule that ``vertex_count`` and the integer pairs ``arcs``
-    break, as ``(index, message)``: index None blames the vertex count,
-    otherwise it is the position of the first bad arc.  None if the two
-    make a digraph."""
+    """The first rule that ``vertex_count`` and the pairs ``arcs`` break,
+    as ``(index, message)``: index None blames the vertex count, otherwise
+    it is the position of the first bad arc.  None if the two make a
+    digraph.  Vertex ids are ``int`` values, as in ``_check_vertex``."""
+    if type(vertex_count) is not int:
+        return None, f"vertex_count must be an int, got {vertex_count!r}"
     if vertex_count < 0:
         return None, f"vertex_count must be nonnegative, got {vertex_count}"
     seen = set()
     for index, (u, v) in enumerate(arcs):
         if u == v:
             return index, f"loop ({u},{v}) not allowed"
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+        if not (
+            type(u) is int and type(v) is int and 0 <= u < vertex_count and 0 <= v < vertex_count
+        ):
             return index, f"arc ({u},{v}) has an endpoint outside [0,{vertex_count})"
         if (u, v) in seen:
             return index, f"duplicate arc ({u},{v})"
@@ -156,9 +156,18 @@ def _require_arc(D, arc) -> Arc:
     """``arc`` as a tuple, checked to be an arc of D with integer endpoints:
     ``(0.0, 1)`` hashes like ``(0, 1)`` but is not one."""
     u, v = arc
-    if (u, v) not in D.arcs or type(u) is not int or type(v) is not int:
+    if type(u) is not int or type(v) is not int or (u, v) not in D.arcs:
         raise ValueError(f"({u},{v}) is not an arc of the digraph")
     return u, v
+
+
+def _require_arcs(D, E) -> frozenset:
+    """The nonempty arc set E, each member checked by ``_require_arc``
+    before any of them is hashed."""
+    arcs = frozenset([_require_arc(D, a) for a in E])
+    if not arcs:
+        raise ValueError("arc set must be nonempty")
+    return arcs
 
 
 def _require_subset(D, S) -> int:
@@ -203,11 +212,7 @@ def induced_subdigraph(D: Digraph, S) -> tuple:
     Returns ``(H, mapping)`` where ``mapping[i]`` is the original id of the
     new vertex ``i``; vertices are re-indexed so ``H`` keeps dense ids.
     """
-    members = sorted(set(S))
-    if not members:
-        raise ValueError("cannot induce on an empty vertex set")
-    for v in members:
-        _check_vertex(D, v)
+    members = sorted(_members(_require_subset(D, S)))
     index = {old: new for new, old in enumerate(members)}
     arcs = [(index[u], index[v]) for u, v in D.arcs if u in index and v in index]
     return make_digraph(len(members), arcs), tuple(members)
@@ -220,11 +225,7 @@ def arc_induced_subdigraph(D: Digraph, E) -> tuple:
     Returns ``(H, mapping)`` with the same re-indexing convention as
     :func:`induced_subdigraph`.
     """
-    arcs = set(E)
-    if not arcs:
-        raise ValueError("cannot induce on an empty arc set")
-    for a in arcs:
-        _require_arc(D, a)
+    arcs = _require_arcs(D, E)
     members = sorted({u for u, _ in arcs} | {v for _, v in arcs})
     index = {old: new for new, old in enumerate(members)}
     new_arcs = [(index[u], index[v]) for u, v in arcs]

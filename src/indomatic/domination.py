@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     _dominates,
-    _require_arc,
+    _require_arcs,
     _require_strong,
     _require_subset,
     _strong_on,
@@ -214,11 +214,7 @@ def in_dominating_vertices(D: Digraph) -> frozenset:
 def is_strong_cover(D: Digraph, E) -> bool:
     """E spans every vertex of D and its arc-induced subdigraph is strong."""
     _require_strong(D, "strong covers are defined only for strong digraphs")
-    E = frozenset(E)
-    if not E:
-        raise ValueError("arc set must be nonempty")
-    for a in E:
-        _require_arc(D, a)
+    E = _require_arcs(D, E)
     # E spans every vertex and is strong exactly when the digraph (V, E)
     # is strong: n >= 2 here, so a vertex E misses is isolated in it.
     return is_strong(Digraph(D.vertex_count, E))

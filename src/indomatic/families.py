@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import Digraph, is_strong, make_digraph
+from .core import Digraph, Inapplicable, is_strong, make_digraph
 from .domination import VertexPartition
 from .transforms import CompositionSpec, composition, composition_partition
 
@@ -28,7 +28,7 @@ class FamilyInstance:
 
 def complete_digraph(n: int) -> Digraph:
     if n < 1:
-        raise ValueError("order must be at least 1")
+        raise Inapplicable("order must be at least 1")
     return make_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
 
 
@@ -36,7 +36,7 @@ def directed_cycle(n: int) -> Digraph:
     """Directed cycle; order 2 means the symmetric pair (both arcs), the
     smallest closed walk visiting two vertices."""
     if n < 2:
-        raise ValueError("cycle order must be at least 2")
+        raise Inapplicable("cycle order must be at least 2")
     if n == 2:
         return make_digraph(2, [(0, 1), (1, 0)])
     return make_digraph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -44,7 +44,7 @@ def directed_cycle(n: int) -> Digraph:
 
 def empty_digraph(n: int) -> Digraph:
     if n < 1:
-        raise ValueError("order must be at least 1")
+        raise Inapplicable("order must be at least 1")
     return make_digraph(n, [])
 
 
@@ -61,7 +61,7 @@ def pair_critical_family(n: int) -> FamilyInstance:
     only maximum partition.
     """
     if n < 3:
-        raise ValueError("family needs n >= 3")
+        raise Inapplicable("family needs n >= 3")
 
     def u(i: int) -> int:
         return i - 1
@@ -92,9 +92,9 @@ def order_value_family(p: int, m: int) -> FamilyInstance:
     order m+r.
     """
     if p < 3:
-        raise ValueError("requires p >= 3")
+        raise Inapplicable("requires p >= 3")
     if not (0 < m <= p / 2):
-        raise ValueError("requires 0 < m <= p/2")
+        raise Inapplicable("requires 0 < m <= p/2")
     q, r = divmod(p, m)
     host = directed_cycle(q)
     parts = [empty_digraph(m) for _ in range(q - 1)] + [empty_digraph(m + r)]
@@ -117,9 +117,9 @@ def critical_composition_family(p: int, n: int) -> FamilyInstance:
     either arc destroys strongness, so it is not critical.
     """
     if p < 2 or n < 2:
-        raise ValueError("requires p >= 2 and n >= 2")
+        raise Inapplicable("requires p >= 2 and n >= 2")
     if p % n != 0:
-        raise ValueError("requires n to divide p")
+        raise Inapplicable("requires n to divide p")
     if p == n:
         return replace(_complete_instance(p), claimed_critical=p >= 3)
     return order_value_family(p, n)

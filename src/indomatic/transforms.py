@@ -14,6 +14,7 @@ from typing import Dict, Tuple, Union
 
 from .core import (
     Digraph,
+    Inapplicable,
     _require_strong,
     make_digraph,
 )
@@ -105,27 +106,32 @@ def _continuations(arcs: list) -> list:
     return [(i, j) for i, (_, v) in enumerate(arcs) for j in by_tail.get(v, ())]
 
 
+def _sorted_arcs(name: str, D: Digraph) -> list:
+    """D's arcs in lexicographic order, for the construction ``name``,
+    which exists only on a digraph with arcs."""
+    if not D.arcs:
+        raise Inapplicable(f"{name} needs at least one arc")
+    return D.sorted_arcs()
+
+
 def line_digraph(D: Digraph):
     """Vertices are the arcs of D; (u,v) -> (w,z) is an arc iff v = w.
 
     Returns ``(L, origins)``; ``origins[i]`` is the arc of D that vertex i
     stands for, in lexicographic arc order.
     """
-    origins = tuple(D.sorted_arcs())
-    if not origins:
-        raise ValueError("line digraph needs at least one arc")
+    origins = tuple(_sorted_arcs("line", D))
     return make_digraph(len(origins), _continuations(origins)), origins
 
 
-def _arc_vertex_digraph(D: Digraph, originals: bool, line: bool):
+def _arc_vertex_digraph(name: str, D: Digraph, originals: bool, line: bool):
     """The subdivision of D, plus D's own arcs between the original
     vertices when ``originals`` and the line digraph's arcs between the
-    arc-vertices when ``line``.  The three kinds of arc are disjoint and
-    each is loopless and simple, so the result needs no validation."""
-    if not D.arcs:
-        raise ValueError("construction needs at least one arc")
+    arc-vertices when ``line``; ``name`` is the construction's, for the
+    error on an arcless D.  The three kinds of arc are disjoint and each
+    is loopless and simple, so the result needs no validation."""
+    arcs = _sorted_arcs(name, D)
     n = D.vertex_count
-    arcs = D.sorted_arcs()
     tags = tuple(
         [TaggedVertex("vertex", v) for v in range(n)]
         + [TaggedVertex("arc", a) for a in arcs]
@@ -147,26 +153,26 @@ def subdivision(D: Digraph):
     Originals keep their ids and arc-vertices follow in lexicographic arc
     order, a layout the root, middle and total digraphs share.
     """
-    return _arc_vertex_digraph(D, originals=False, line=False)
+    return _arc_vertex_digraph("subdivision", D, originals=False, line=False)
 
 
 def root(D: Digraph):
     """Subdivision plus the original arcs between original vertices."""
-    return _arc_vertex_digraph(D, originals=True, line=False)
+    return _arc_vertex_digraph("root", D, originals=True, line=False)
 
 
 def middle(D: Digraph):
     """Subdivision plus arcs from each arc-vertex to the arc-vertices that
     continue it (those whose tail is its head): the line digraph, shifted
     onto the arc-vertices."""
-    return _arc_vertex_digraph(D, originals=False, line=True)
+    return _arc_vertex_digraph("middle", D, originals=False, line=True)
 
 
 def total(D: Digraph):
     """Middle plus the original arcs: the union of every adjacency the
     other three constructions provide.  Restricted to the arc-vertices it
     is exactly the line digraph."""
-    return _arc_vertex_digraph(D, originals=True, line=True)
+    return _arc_vertex_digraph("total", D, originals=True, line=True)
 
 
 # ---------------------------------------------------------------------------

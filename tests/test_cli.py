@@ -283,10 +283,14 @@ class TestTransform:
         result = parse_digraph(open(out).read())
         assert result.vertex_count == 6 and len(result.arcs) == 12
 
-    def test_line_of_arcless_inapplicable(self, workdir, tmp_path):
+    @pytest.mark.parametrize("op", ["line", "subdivision", "root", "middle", "total"])
+    def test_line_of_arcless_inapplicable(self, workdir, tmp_path, capsys, op):
         _, save = workdir
         path = save("e2.dg", make_digraph(2, []))
-        assert run("transform", "--in", path, "--op", "line", "--out", str(tmp_path / "x")) == 3
+        out, dot = tmp_path / "x", tmp_path / "x.dot"
+        assert run("transform", "--in", path, "--op", op, "--out", str(out), "--dot", str(dot)) == 3
+        assert capsys.readouterr().err == f"not applicable: {op} needs at least one arc\n"
+        assert not out.exists() and not dot.exists()
 
     @pytest.mark.parametrize("op", ["line", "subdivision", "converse"])
     def test_with_rejected_where_unused(self, workdir, tmp_path, capsys, op):
@@ -426,6 +430,12 @@ class TestGenerate:
             ("order-value", ["m=2"], "input error: family 'order-value' needs parameter 'p'\n"),
             ("order-value", ["p=5"], "input error: family 'order-value' needs parameter 'm'\n"),
             ("critical-composition", ["p=4", "n=3"], "not applicable: requires n to divide p\n"),
+            ("complete", ["n=0"], "not applicable: order must be at least 1\n"),
+            ("cycle", ["n=1"], "not applicable: cycle order must be at least 2\n"),
+            ("empty", ["n=0"], "not applicable: order must be at least 1\n"),
+            ("pair-critical", ["n=2"], "not applicable: family needs n >= 3\n"),
+            ("order-value", ["p=2", "m=1"], "not applicable: requires p >= 3\n"),
+            ("critical-composition", ["p=1", "n=2"], "not applicable: requires p >= 2 and n >= 2\n"),
         ],
     )
     def test_param_error_bytes(self, tmp_path, capsys, family, params, err):

@@ -24,6 +24,7 @@ from indomatic import (
     is_strong_subset,
     is_symmetric_arc,
     make_digraph,
+    make_ugraph,
     min_in_degree,
     min_out_degree,
     out_neighbors,
@@ -57,6 +58,11 @@ class TestMakeDigraph:
     def test_duplicate_rejected_not_merged(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_digraph(2, [(0, 1), (0, 1)])
+
+    def test_non_integer_vertex_count_rejected(self):
+        # 3.0 compares like 3, but the masks would fail on it at first use.
+        with pytest.raises(ValueError, match="vertex_count"):
+            make_digraph(3.0, [(0, 1), (1, 2), (2, 0)])
 
 
 class TestNeighborhoods:
@@ -270,8 +276,8 @@ class TestStaysStrongWithout:
 
 class TestNonIntegerEndpoints:
     # (0.0, 1) hashes like the arc (0, 1) and 0.0 like the vertex 0; each
-    # entry point rejects them with ValueError, neither accepting them nor
-    # failing with a TypeError.
+    # entry point rejects them, and a list-shaped vertex, with ValueError,
+    # neither accepting them nor failing with a TypeError.
     @pytest.mark.parametrize(
         "call",
         [
@@ -284,16 +290,24 @@ class TestNonIntegerEndpoints:
             lambda D: is_strong_subset(D, [0.0, 1, 2]),
             lambda D: induced_subdigraph(D, [0.0, 1]),
             lambda D: out_neighbors(D, 0.0),
+            lambda D: make_digraph(3, [(0.5, 1), (1, 2), (2, 0)]),
+            lambda D: make_ugraph(3, [(0.5, 1), (1, 2)]),
+            lambda D: induced_subdigraph(D, [[0]]),
         ],
         ids=[
             "stays_strong_without", "delete_arc", "is_symmetric_arc", "arc_induced_subdigraph",
             "is_strong_cover", "is_in_dominating", "is_strong_subset", "induced_subdigraph",
-            "out_neighbors",
+            "out_neighbors", "make_digraph", "make_ugraph", "induced_subdigraph-list",
         ],
     )
     def test_rejected(self, c3, call):
         with pytest.raises(ValueError, match=r"is not an arc|outside \[0,3\)"):
             call(c3)
+
+    def test_list_arcs_read_as_pairs(self, c3):
+        # Each member is read as a pair before any is hashed, so a list pair names an arc.
+        assert arc_induced_subdigraph(c3, [[0, 1]]) == arc_induced_subdigraph(c3, [(0, 1)])
+        assert is_strong_cover(c3, [[0, 1], [1, 2], [2, 0]])
 
 
 class TestShapePredicates:

@@ -95,10 +95,10 @@ class TestMakeUgraph:
         with pytest.raises(ValueError, match=message):
             make_ugraph(n, edges)
 
-    def test_endpoints_become_ints(self):
-        # As in make_digraph; a float endpoint used to fail later, as a mask index.
-        G = make_ugraph(3, [(0.0, 1), (2, 1.0)])
-        assert G == path_graph(3) and is_connected(G)
+    def test_float_endpoints_rejected(self):
+        # As in make_digraph: a float endpoint fails here, not later as a mask index.
+        with pytest.raises(ValueError, match=r"^arc \(0.0,1\) has an endpoint outside \[0,3\)$"):
+            make_ugraph(3, [(0.0, 1), (2, 1.0)])
 
 
 class TestNeighborMasks:
