@@ -297,8 +297,7 @@ def delete_arc(D: Digraph, arc: Arc) -> Digraph:
 
 def are_isomorphic(D: Digraph, H: Digraph) -> bool:
     """Decide isomorphism with networkx's VF2 matcher."""
-    # Imported here, as in `undirected.is_planar`: `import indomatic` stays
-    # free of networkx.
+    # Imported here, so that `import indomatic` stays free of networkx.
     import networkx as nx
 
     def to_networkx(G: Digraph):

@@ -161,7 +161,7 @@ def all_labeled_digraphs(n: int):
     """Every labeled loopless digraph on n vertices, one per subset of the
     n(n-1) possible arcs, in mask order."""
     if n < 1:
-        raise ValueError("order must be at least 1")
+        raise Inapplicable("order must be at least 1")
     positions = [(u, v) for u in range(n) for v in range(n) if u != v]
     for mask in range(1 << len(positions)):
         arcs = [positions[i] for i in range(len(positions)) if mask >> i & 1]
@@ -181,7 +181,7 @@ def random_digraph(n: int, rng: random.Random, arc_prob: float = 0.5) -> Digraph
 def random_strong_digraph(n: int, rng: random.Random, arc_prob: float = 0.5) -> Digraph:
     """Rejection-sample until strong; cheap at desk scale."""
     if n < 1:
-        raise ValueError("order must be at least 1")
+        raise Inapplicable("order must be at least 1")
     while True:
         D = random_digraph(n, rng, arc_prob)
         if is_strong(D):

@@ -49,7 +49,7 @@ class CompositionSpec:
         if len(parts) != host.vertex_count:
             raise ValueError("need exactly one part per host vertex")
         if any(p.vertex_count == 0 for p in parts):
-            raise ValueError("every part needs at least one vertex")
+            raise Inapplicable("every part needs at least one vertex")
         return cls(host, parts)
 
 
@@ -61,7 +61,7 @@ def cartesian_product(D: Digraph, H: Digraph):
     i, whose id is ``x * |V(H)| + z``.
     """
     if D.vertex_count == 0 or H.vertex_count == 0:
-        raise ValueError("both factors must be nonempty")
+        raise Inapplicable("both factors must be nonempty")
     nh = H.vertex_count
     origins = tuple((x, z) for x in range(D.vertex_count) for z in range(nh))
     arcs = []

@@ -116,8 +116,9 @@ def is_planar(G: Digraph) -> bool:
     """Planarity decision.  Order and edge count settle most graphs: by
     Kuratowski's theorem K5 is the only non-planar graph on at most five
     vertices, and by Euler's formula a simple planar graph on n >= 3
-    vertices has at most 3n - 6 edges.  The rest go to networkx's
-    left-right embedding algorithm."""
+    vertices has at most 3n - 6 edges.  The rest are decided block by
+    biconnected block with the path-embedding test of Demoucron, Malgrange
+    and Pertuiset (DMP, 1964) on ``G.out_masks``."""
     _require_graph(G)
     n = G.vertex_count
     m = len(G.arcs) // 2
@@ -125,11 +126,110 @@ def is_planar(G: Digraph) -> bool:
         return m < 10
     if m > 3 * n - 6:
         return False
-    # Imported here: loading networkx doubles the memory of `import indomatic`.
-    import networkx as nx
+    return all(_block_is_planar(G.out_masks, block) for block in _blocks(G.out_masks))
 
-    H = nx.Graph()
-    H.add_nodes_from(range(G.vertex_count))
-    H.add_edges_from(G.arcs)
-    planar, _ = nx.check_planarity(H)
-    return planar
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _blocks(masks):
+    """The vertex masks of the biconnected blocks that hold an edge, from
+    an iterative lowpoint DFS (Hopcroft and Tarjan, 1973)."""
+    order, low = {}, {}
+    for root in range(len(masks)):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        trail, frames = [root], [[root, masks[root]]]
+        while frames:
+            v, todo = frame = frames[-1]
+            if todo:
+                frame[1] = todo & (todo - 1)
+                w = (todo & -todo).bit_length() - 1
+                if w in order:
+                    low[v] = min(low[v], order[w])
+                else:
+                    order[w] = low[w] = len(order)
+                    trail.append(w)
+                    frames.append([w, masks[w]])
+                continue
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= order[u]:  # v's subtree and u make a block
+                    block = 1 << u
+                    while not block >> v & 1:
+                        block |= 1 << trail.pop()
+                    yield block
+
+
+def _route(adj, start: int, inner: int, goal: int) -> list:
+    """A path from a vertex of the mask ``goal`` back to ``start`` whose
+    inner vertices, one or more, lie in the mask ``inner``."""
+    parent, stack, seen = {start: None}, [start], 1 << start
+    while stack:
+        u = stack.pop()
+        if u != start and adj[u] & goal:
+            path = [(adj[u] & goal).bit_length() - 1]
+            while u is not None:
+                path.append(u)
+                u = parent[u]
+            return path
+        fresh = adj[u] & inner & ~seen
+        seen |= fresh
+        parent.update((x, u) for x in _bits(fresh))
+        stack.extend(_bits(fresh))
+
+
+def _block_is_planar(masks, block: int) -> bool:
+    """DMP on a biconnected block past the order and Euler tests: embed a
+    cycle; then, while fragments remain (chords, and components of the
+    rest with their attachments), fail if one fits in no face, else embed
+    a path of one that fits in exactly one face, or of any, in that face."""
+    adj = [mask & block for mask in masks]
+    k = block.bit_count()
+    if k <= 4 or sum(adj[v].bit_count() for v in _bits(block)) > 6 * k - 12:
+        return k <= 4
+    v = (block & -block).bit_length() - 1
+    w = adj[v].bit_length() - 1
+    path = _route(adj, w, block & ~(1 << v | 1 << w), 1 << v) + [v]
+    faces, placed, laid = [path[:-1]] * 2, 0, [0] * len(masks)
+    while True:
+        for x, y in zip(path, path[1:]):
+            laid[x] |= 1 << y
+            laid[y] |= 1 << x
+            placed |= 1 << x | 1 << y
+        # (attachments, inner vertices) per fragment; a chord has none inside.
+        chords = ((x, adj[x] & placed & ~laid[x]) for x in _bits(placed))
+        fragments = [(1 << x | 1 << y, 0) for x, ends in chords for y in _bits(ends) if x < y]
+        rest = block & ~placed
+        while rest:
+            inner = new = rest & -rest
+            touch = 0
+            while new:
+                for x in _bits(new):
+                    touch |= adj[x]
+                new = touch & rest & ~inner
+                inner |= new
+            fragments.append((touch & placed, inner))
+            rest &= ~inner
+        if not fragments:
+            return True
+        rims = [(sum(1 << x for x in f), f) for f in faces]
+        fits = [[f for rim, f in rims if not ties & ~rim] for ties, _ in fragments]
+        if not all(fits):
+            return False
+        i = next((i for i, f in enumerate(fits) if len(f) == 1), 0)
+        (attach, inner), face = fragments[i], fits[i][0]
+        a, b = (attach & -attach).bit_length() - 1, attach.bit_length() - 1
+        path = _route(adj, a, inner, attach & attach - 1) if inner else [b, a]
+        faces.remove(face)
+        i = face.index(path[0])
+        face = face[i:] + face[:i]
+        j = face.index(path[-1])
+        faces += [face[: j + 1] + path[-2:0:-1], face[j:] + face[:1] + path[1:-1]]

@@ -292,6 +292,22 @@ class TestTransform:
         assert capsys.readouterr().err == f"not applicable: {op} needs at least one arc\n"
         assert not out.exists() and not dot.exists()
 
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            ("product", "both factors must be nonempty"),
+            ("compose", "every part needs at least one vertex"),
+        ],
+    )
+    def test_order_zero_factor_or_part_inapplicable(self, workdir, tmp_path, capsys, op, message):
+        _, save = workdir
+        k1 = save("k1.dg", make_digraph(1, []))
+        e0 = save("e0.dg", make_digraph(0, []))
+        out = tmp_path / "x.dg"
+        assert run("transform", "--in", k1, "--op", op, "--with", e0, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"not applicable: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("op", ["line", "subdivision", "converse"])
     def test_with_rejected_where_unused(self, workdir, tmp_path, capsys, op):
         _, save = workdir

@@ -5,6 +5,7 @@ import pytest
 from indomatic import (
     CompositionSpec,
     FamilyInstance,
+    Inapplicable,
     all_labeled_digraphs,
     complete_digraph,
     composition,
@@ -217,3 +218,15 @@ class TestScanHelpers:
         a = random_strong_digraph(5, random.Random(3))
         b = random_strong_digraph(5, random.Random(3))
         assert a == b
+
+    def test_all_labeled_order_zero_inapplicable(self):
+        with pytest.raises(Inapplicable, match="^order must be at least 1$"):
+            next(all_labeled_digraphs(0))
+
+    def test_random_strong_order_zero_inapplicable(self):
+        import random
+
+        from indomatic import random_strong_digraph
+
+        with pytest.raises(Inapplicable, match="^order must be at least 1$"):
+            random_strong_digraph(0, random.Random(3))

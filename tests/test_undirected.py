@@ -319,12 +319,63 @@ class TestPlanarity:
         code = f"assert not indomatic.is_planar({k5}); assert indomatic.is_planar({c5})"
         assert not self.networkx_loaded_after(code)
 
+    def test_laws_on_a_six_cycle_leave_networkx_unloaded(self):
+        # The underlying C6 has 6 <= 3n - 6 edges, so order and Euler's
+        # bound do not settle it.
+        code = (
+            "D = indomatic.directed_cycle(6); "
+            "indomatic.check_all(D, subdigraph_samples=5, seed=1); indomatic.upper_bound(D)"
+        )
+        assert not self.networkx_loaded_after(code)
+
     @staticmethod
     def networkx_planar(G):
         H = nx.Graph()
         H.add_nodes_from(range(G.vertex_count))
         H.add_edges_from(edges(G))
         return nx.check_planarity(H)[0]
+
+    def test_matches_networkx_on_order_six_near_eulers_bound(self):
+        # Every labeled graph of order six with 9 to 12 edges (3n - 6 = 12).
+        pairs = list(combinations(range(6), 2))
+        checked = non_planar = 0
+        for m in range(9, 13):
+            for chosen in combinations(pairs, m):
+                G = make_ugraph(6, chosen)
+                planar = is_planar(G)
+                assert planar == self.networkx_planar(G)
+                checked += 1
+                non_planar += not planar
+        assert (checked, non_planar) == (9828, 576)
+
+    @staticmethod
+    def from_networkx(H):
+        H = nx.convert_node_labels_to_integers(H)
+        return make_ugraph(H.number_of_nodes(), H.edges())
+
+    @pytest.mark.parametrize(
+        "H, planar",
+        [
+            # Cut vertices and several components.
+            (nx.compose(nx.complete_graph(5), nx.complete_graph(range(4, 9))), False),
+            (nx.compose(nx.complete_graph(4), nx.complete_graph(range(3, 7))), True),
+            (nx.disjoint_union(nx.complete_graph(4), nx.complete_bipartite_graph(3, 3)), False),
+            (nx.petersen_graph(), False),
+            (nx.complete_bipartite_graph(4, 4), False),
+            # K5 with every edge subdivided once.
+            (nx.Graph([(w, i) for i, e in enumerate(combinations(range(5), 2), 5) for w in e]), False),
+            (nx.dodecahedral_graph(), True),
+            (nx.icosahedral_graph(), True),
+            (nx.grid_2d_graph(6, 6), True),
+            (nx.wheel_graph(7), True),
+        ],
+    )
+    def test_matches_networkx_on_named_graphs(self, H, planar):
+        G = self.from_networkx(H)
+        assert is_planar(G) == self.networkx_planar(G) == planar
+
+    def test_long_cycle_is_decided_without_recursion(self):
+        assert is_planar(cycle_graph(3000))
 
     def test_matches_networkx_up_to_order_five(self):
         checked = 0
