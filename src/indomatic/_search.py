@@ -41,15 +41,18 @@ keeps every partition and the order they come in:
    block labels still follow the first member.
 4. The walk, skipping a forced item, visits the surviving leaves in the
    order it would visit them branching on it.
+5. So a barred placement is skipped untried.  Each strongness test below
+   is a pure function of its two masks, so a search computes it once and
+   then recalls it, keeping up to ``_MEMO_LIMIT`` answers.
 
 Strongness is checked during the search: every open block j must pass
 ``viable(members[j], free)``, free being the unassigned items not barred
 from j, which by point 2 holds the rest of every valid final block j.  For
-vertices, a block of two or more members must lie in one strong component
-of D[block + free] (a forward and a backward bitmask closure from its
-least member); for arcs, the arcs of block + free must reach every vertex
-from vertex 0 and be reached from each.  With every item placed, free is
-empty and the tests say exactly that every block is strong.
+vertices, a block must lie in one strong component of D[block + free] (a
+forward and a backward bitmask closure from its least member); for arcs,
+the arcs of block + free must reach every vertex from vertex 0 and be
+reached from each.  With every item placed, free is empty and the tests
+say exactly that every block is strong.
 """
 from __future__ import annotations
 
@@ -57,17 +60,21 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .core import _strong_on
 
+# The most strongness answers one search keeps before it forgets them all.
+_MEMO_LIMIT = 1 << 16
+
 
 class SearchCounter:
     """Mutable counters threaded through a search: nodes visited, subtrees
-    cut because a block could no longer become strong, and items placed by
-    propagation instead of branching."""
+    cut because a block could no longer become strong, strongness closures
+    computed, and items placed by propagation instead of branching."""
 
-    __slots__ = ("nodes", "strong_prunes", "forced")
+    __slots__ = ("nodes", "strong_prunes", "closures", "forced")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.strong_prunes = 0
+        self.closures = 0
         self.forced = 0
 
 
@@ -95,6 +102,8 @@ def _search(
     labels = [0] * m
     # hit[r]: bits of the blocks meeting needs[r].
     hit = [0] * len(needs)
+    # memo[(block, free)]: what viable answered, so each test runs once.
+    memo = {}
 
     def unplace(items: int) -> None:
         # Take the items placed by propagate out of their blocks again.
@@ -189,6 +198,9 @@ def _search(
         rest &= ~bit
         mine = needs_of[i]
         for b in range(min(opened + 1, k)):
+            # A barred placement would fail in propagate (point 5).
+            if banned[b] & bit:
+                continue
             # Placed and unplaced inline, not through unplace: this loop is
             # the search's hot path.
             block_bit = 1 << b
@@ -212,7 +224,14 @@ def _search(
                         break
             if ok and viable is not None:
                 for j in range(now_opened):
-                    if not viable(members[j], left & ~bars[j]):
+                    key = (members[j], left & ~bars[j])
+                    good = memo.get(key)
+                    if good is None:
+                        if len(memo) >= _MEMO_LIMIT:
+                            memo.clear()
+                        good = memo[key] = viable(*key)
+                        counter.closures += 1
+                    if not good:
                         counter.strong_prunes += 1
                         ok = False
                         break
@@ -228,7 +247,11 @@ def _search(
                 if not block & needs[r]:
                     hit[r] &= ~block_bit
 
-    yield from assign(0, 0, (1 << m) - 1, [0] * k)
+    try:
+        yield from assign(0, 0, (1 << m) - 1, [0] * k)
+    finally:
+        # assign refers to itself: free the table without the cycle collector.
+        memo.clear()
 
 
 def partition_search(
@@ -254,10 +277,8 @@ def partition_search(
         out_masks, in_masks = strong_masks
 
         def viable(block: int, free: int) -> bool:
-            # Two or more members lie in one strong component of D[block + free].
-            return not block & (block - 1) or _strong_on(
-                out_masks, in_masks, block | free, block
-            )
+            # The members lie in one strong component of D[block + free].
+            return _strong_on(out_masks, in_masks, block | free, block)
 
     return _search(n, [cover[x] | 1 << x for x in range(n)], k, viable, counter)
 

@@ -52,6 +52,8 @@ class SolveStats:
     seconds: float
     # Subtrees cut because a block could no longer become strong.
     strong_prunes: int = 0
+    # Strongness tests computed; a repeat within one search is recalled.
+    closures: int = 0
     # Items (vertices, or arcs for lambda_number) placed by propagation,
     # each the one block left to it.
     forced: int = 0
@@ -127,7 +129,8 @@ def _largest(D, search, cap: int, m: int, witness, predicate, what: str) -> Solv
                 break
             value, labels = k, found
     seconds = time.perf_counter() - start
-    stats = SolveStats(counter.nodes, seconds, counter.strong_prunes, counter.forced, tuple(probes))
+    stats = SolveStats(counter.nodes, seconds, counter.strong_prunes, counter.closures,
+                       counter.forced, tuple(probes))
     return SolveResult(value, _checked(D, labels, m, value, witness, predicate, what), stats)
 
 

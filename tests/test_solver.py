@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import indomatic
-from indomatic import solver
+from indomatic import _search, solver
 from indomatic._search import arc_partition_search, partition_search
 from indomatic.domination import is_in_domatic_partition
 from indomatic.solver import search_cap
@@ -464,6 +464,85 @@ class TestSolveStats:
             check=True,
         )
         assert out.stdout == "raised\n"
+
+
+# Two searches pinned walk and all: an engine that saves work must still
+# visit the same nodes, prune and force the same items, probe the same k
+# and find the same witness.  lambda(K6*) proves that K6* has no
+# Hamiltonian decomposition; the other is the first random strong digraph
+# of order 12 drawn from seed 2, with 75 arcs.
+PINNED_WALKS = [
+    pytest.param(
+        lambda_number, lambda: complete_digraph(6),
+        (4, (0, 0, 1, 2, 3, 0, 0, 1, 2, 3, 0, 1, 0, 3, 2, 1, 2, 3, 1, 0, 3, 0, 2, 2, 1, 2, 3, 1, 3, 0),
+         2148, 2876, 26031, ((5, 2077, False), (2, 21, True), (3, 23, True), (4, 27, True))),
+        id="lambda-K6*",
+    ),
+    pytest.param(
+        strong_in_domatic_number, lambda: random_strong_digraph(12, random.Random(2), 0.5),
+        (4, (0, 1, 0, 0, 0, 2, 2, 1, 2, 3, 3, 1), 1046, 324, 1812, ((4, 1046, True),)),
+        id="dsminus-random-12",
+    ),
+]
+
+
+def walk(result):
+    """A solve's value, witness labels (in arc order for an arc partition)
+    and search counts, without time."""
+    labels = result.witness.block_of
+    if isinstance(result.witness, ArcPartition):
+        labels = tuple(label for _, label in labels)
+    stats = result.stats
+    return (result.value, labels, stats.nodes, stats.strong_prunes, stats.forced, stats.probes)
+
+
+class TestSearchWalk:
+    @pytest.mark.parametrize("solve, build, pinned", PINNED_WALKS)
+    def test_walk_pinned(self, solve, build, pinned):
+        assert walk(solve(build())) == pinned
+
+    @pytest.mark.parametrize("solve, build, pinned", PINNED_WALKS)
+    def test_walk_without_memo(self, monkeypatch, solve, build, pinned):
+        # A table that forgets every answer before it keeps the next one
+        # changes the cost of the walk, not the walk.
+        monkeypatch.setattr(_search, "_MEMO_LIMIT", 1)
+        assert walk(solve(build())) == pinned
+
+    @pytest.mark.parametrize("solve, build, pinned", PINNED_WALKS)
+    def test_each_closure_once_per_search(self, monkeypatch, solve, build, pinned):
+        # Every test viable runs is new to its search, and each runs one
+        # closure pair, counted in closures.  Without the table lambda(K6*)
+        # ran 17,967 of them, on fewer than 900 distinct pairs.
+        asked, runs = [], []
+        engine, closure = _search._search, _search._strong_on
+
+        def search(m, needs, k, viable, counter):
+            pairs = []
+            asked.append(pairs)
+            return engine(m, needs, k, lambda *pair: pairs.append(pair) or viable(*pair), counter)
+
+        def strong_on(*args):
+            runs.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(_search, "_search", search)
+        monkeypatch.setattr(_search, "_strong_on", strong_on)
+        result = solve(build())
+        assert all(len(set(pairs)) == len(pairs) for pairs in asked)
+        assert len(runs) == sum(map(len, asked)) == result.stats.closures
+        if solve is lambda_number:
+            assert result.stats.closures < 900
+
+    def test_table_emptied_when_search_ends(self):
+        # The table is the search's own: closing the search frees it at
+        # once, without waiting for the cycle collector.
+        D = complete_digraph(6)
+        search = arc_partition_search(6, D.sorted_arcs(), 4)
+        assert next(search) is not None
+        memo = search.gi_frame.f_locals["memo"]
+        assert memo
+        search.close()
+        assert memo == {}
 
 
 def ascending_ladder(search, whole):
