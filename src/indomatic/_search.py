@@ -250,8 +250,11 @@ def _search(
     try:
         yield from assign(0, 0, (1 << m) - 1, [0] * k)
     finally:
-        # assign refers to itself: free the table without the cycle collector.
+        # assign refers to itself through its closure: break that cycle, so
+        # an exhausted or closed search frees its state, the table included,
+        # at once, without the cycle collector.
         memo.clear()
+        assign = None
 
 
 def partition_search(

@@ -218,7 +218,7 @@ def cmd_critical(args) -> int:
         print(f"({record.arc[0]},{record.arc[1]})".ljust(11) + f"{str(record.still_strong).lower():<14}{after}")
     reason = first_failure(profile)
     print(f"critical: {'yes' if reason is None else f'no ({reason})'}")
-    result = characterize(D, profile.value, profile.breaking_arc)
+    result = characterize(profile.partitions, profile.breaking_arc)
     if result.status == NOT_APPLICABLE:
         print(f"characterization: not applicable ({result.reason})")
     else:

@@ -5,14 +5,21 @@ drops the strong in-domatic number by exactly one.  The characterization
 route checks instead that every maximum partition is rigid: blocks lose
 strongness under any internal deletion, and every outside vertex has
 exactly one out-neighbor per block.  Both routes are implemented and their
-equivalence is itself part of the test suite.  A deletion profile solves D
-once: D's witness, or a merge of two of its blocks, bounds the value after
-each deletion, so at most one decision per deletion is left to search.
+equivalence is itself part of the test suite.
+
+No digraph but D is searched.  A deletion profile solves D once and keeps
+D's maximum partitions (``MaxPartitions``): the canonical witness, then
+the rest of one enumeration of D, pulled only as far as a deletion needs.
+By monotonicity the partitions of D - e into d(D) blocks are exactly the
+maximum partitions of D that survive the deletion, so each deletion is
+settled by the first survivor in canonical order, or by a merge of two
+witness blocks when none survives.  The characterization reads the same
+partitions, so ``indomatic critical`` enumerates them at most once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Iterator, Optional, Tuple
 
 from .core import (
     Digraph,
@@ -25,7 +32,6 @@ from .core import (
 from .domination import VertexPartition, _block_masks, _diagnose
 from .solver import (
     WitnessCheckError,
-    exists_partition_into_k,
     search_cap,
     strong_in_domatic_number,
     strong_in_domatic_partitions,
@@ -43,12 +49,47 @@ class ArcDeletionRecord:
     value_after: Optional[int]
 
 
+class MaxPartitions:
+    """The maximum strong in-domatic partitions of a strong digraph D, in
+    canonical order, iterated as (partition, block masks) pairs.  The
+    canonical witness comes first; the rest are pulled from one
+    enumeration of D, and only as far as they are asked for.  The
+    enumeration's first partition must be the witness, or
+    ``WitnessCheckError`` is raised."""
+
+    def __init__(self, D: Digraph, witness: VertexPartition):
+        self.digraph = D
+        self.value = witness.block_count
+        self._found = [(witness, _block_masks(D, witness))]
+        self._rest: Optional[Iterator[VertexPartition]] = None
+
+    def _pull(self) -> bool:
+        # Keep the enumeration's next partition; False once it is exhausted.
+        if self._rest is None:
+            self._rest = strong_in_domatic_partitions(self.digraph, self.value)
+            if next(self._rest, None) != self._found[0][0]:
+                raise WitnessCheckError("the enumeration does not start at the witness")
+        P = next(self._rest, None)
+        if P is None:
+            return False
+        self._found.append((P, _block_masks(self.digraph, P)))
+        return True
+
+    def __iter__(self) -> Iterator[tuple]:
+        i = 0
+        while i < len(self._found) or self._pull():
+            yield self._found[i]
+            i += 1
+
+
 @dataclass(frozen=True)
 class DeletionProfile:
-    """Per-arc effect of deletion, arcs in lexicographic order."""
+    """Per-arc effect of deletion, arcs in lexicographic order, with the
+    maximum partitions of the profiled digraph as far as they were read."""
 
     value: int
     records: tuple
+    partitions: Optional[MaxPartitions] = field(default=None, compare=False, repr=False)
 
     @property
     def breaking_arc(self) -> Optional[Tuple[int, int]]:
@@ -75,41 +116,61 @@ class CharacterizationResult:
 def deletion_profile(D: Digraph) -> DeletionProfile:
     """Strongness and strong in-domatic number of D minus each arc.
 
-    D is solved once, and each deletion of an arc (u, v) that leaves
-    H = D - (u, v) strong is settled from D's canonical witness W:
+    D is solved once, to value d with canonical witness W, and each
+    deletion of an arc (u, v) that leaves H = D - (u, v) strong is settled
+    from D's maximum partitions.  Every strong in-domatic partition of H
+    is one of D as well, so the partitions of H into d blocks are exactly
+    the maximum partitions of D that survive the deletion, in the same
+    canonical order.  Only v's block B can fail in H: when u is outside B,
+    u must keep an out-neighbor in B; when u is inside B, H[B] must still
+    reach v from u.
 
-    1. if W is still a strong in-domatic partition of H, the value stays,
-       since every strong in-domatic partition of H is one of D as well;
-    2. otherwise merging v's block B with another block of W gives one of
-       H, so the value is at least one less.  Only B can fail in H.  When
-       u is outside B, merge B with any block not holding u (or with the
+    1. If W survives, the value stays.
+    2. Otherwise merging B with another block of W gives a strong
+       in-domatic partition of H, so the value is at least d - 1.  When u
+       is outside B, merge B with any block not holding u (or with the
        other block when W has two).  When u is inside B, a path of H from
        u to v enters the vertices that reach v within B from some vertex
-       outside B: merge B with that vertex's block;
-    3. k = value is decided for H when ``search_cap(H)`` allows it; the
-       value is k when a partition exists and one less otherwise.
+       outside B: merge B with that vertex's block.
+    3. When ``search_cap(H)`` allows d, the value is d if the first
+       maximum partition of D, in canonical order, that survives the
+       deletion exists, and d - 1 otherwise.  That partition is the one
+       ``exists_partition_into_k(H, d)`` would return.
 
-    Every shortcut is certified by the predicate's block-mask check, and
-    the decision's partition by ``exists_partition_into_k`` itself.  A
-    missing merge, a cap below the merge's bound or a search result that
-    fails the predicate raises ``WitnessCheckError``.
+    Every partition that settles a value, the merge included, is
+    certified by the predicate's block-mask check on H.  A missing merge,
+    a cap below the merge's bound, a survivor that fails the check or an
+    enumeration of D that does not start at W raises
+    ``WitnessCheckError``.
     """
     _require_strong(D, "deletion profiles are defined for strong digraphs")
-    witness = _block_masks(D, strong_in_domatic_number(D).witness)
+    partitions = MaxPartitions(D, strong_in_domatic_number(D).witness)
     records = []
     for arc in D.sorted_arcs():
         strong = stays_strong_without(D, arc)
-        after = _value_after(delete_arc(D, arc), witness, arc[1]) if strong else None
+        after = _value_after(delete_arc(D, arc), partitions, *arc) if strong else None
         records.append(ArcDeletionRecord(arc, strong, after))
-    return DeletionProfile(len(witness), tuple(records))
+    return DeletionProfile(partitions.value, tuple(records), partitions)
 
 
-def _value_after(H: Digraph, witness: list, v: int) -> int:
-    """Strong in-domatic number of the strong digraph H, the deletion of an
-    arc (u, v) from a digraph whose canonical witness has block masks ``witness``."""
-    value = len(witness)
-    if _diagnose(H.out_masks, H.in_masks, witness):
-        return value
+def _survives(H: Digraph, blocks: list, u: int, v: int) -> bool:
+    """The strong in-domatic partition ``blocks`` (block masks) of H plus
+    the arc (u, v) is one of H as well.  Only v's block can fail: it must
+    still in-dominate u and, when it holds u, still be strong."""
+    block = next(b for b in blocks if b >> v & 1)
+    if block >> u & 1:
+        return _bypassed(H.out_masks, block, u, v)
+    return bool(H.out_masks[u] & block)
+
+
+def _value_after(H: Digraph, partitions: MaxPartitions, u: int, v: int) -> int:
+    """Strong in-domatic number of the strong digraph H, the deletion of
+    the arc (u, v) from the digraph with maximum partitions ``partitions``."""
+    candidates = (blocks for _, blocks in partitions)
+    witness = next(candidates)
+    value = partitions.value
+    if _survives(H, witness, u, v):
+        return _certified(H, witness)
     b = next(block for block in witness if block >> v & 1)
     merges = (
         [b | c] + [x for x in witness if x not in (b, c)] for c in witness if c != b
@@ -119,9 +180,19 @@ def _value_after(H: Digraph, witness: list, v: int) -> int:
     cap = search_cap(H)
     if cap < value - 1:
         raise WitnessCheckError(f"search cap {cap} is below the merge bound {value - 1}")
-    if cap >= value and exists_partition_into_k(H, value) is not None:
-        return value
+    if cap >= value:
+        survivor = next((P for P in candidates if _survives(H, P, u, v)), None)
+        if survivor is not None:
+            return _certified(H, survivor)
     return value - 1
+
+
+def _certified(H: Digraph, blocks: list) -> int:
+    """The block count of ``blocks``, once they pass the predicate's check
+    as a strong in-domatic partition of H; ``WitnessCheckError`` otherwise."""
+    if not _diagnose(H.out_masks, H.in_masks, blocks):
+        raise WitnessCheckError("a surviving maximum partition fails the check on D - e")
+    return len(blocks)
 
 
 def first_failure(profile: DeletionProfile) -> Optional[str]:
@@ -178,16 +249,19 @@ def characterization_holds(D: Digraph) -> CharacterizationResult:
     deletion preserves strongness."""
     _require_strong(D, "characterization applies to strong digraphs")
     breaking = (a for a in D.sorted_arcs() if not stays_strong_without(D, a))
-    return characterize(D, strong_in_domatic_number(D).value, next(breaking, None))
+    partitions = MaxPartitions(D, strong_in_domatic_number(D).witness)
+    return characterize(partitions, next(breaking, None))
 
 
 def characterize(
-    D: Digraph, value: int, breaking_arc: Optional[Tuple[int, int]]
+    partitions: MaxPartitions, breaking_arc: Optional[Tuple[int, int]]
 ) -> CharacterizationResult:
-    """``characterization_holds`` for a strong digraph whose strong
-    in-domatic number and first strongness-destroying arc (None if there
-    is none) are already known; D is not solved again."""
-    if value < 2:
+    """``characterization_holds`` for a strong digraph whose maximum
+    partitions and first strongness-destroying arc (None if there is
+    none) are already at hand, as a deletion profile's; D is not solved
+    again, and its partitions are enumerated only past those already
+    read."""
+    if partitions.value < 2:
         return CharacterizationResult(
             NOT_APPLICABLE, "strong in-domatic number below two"
         )
@@ -195,8 +269,8 @@ def characterize(
         return CharacterizationResult(
             NOT_APPLICABLE, f"deleting arc {breaking_arc} destroys strongness"
         )
-    for P in strong_in_domatic_partitions(D, value):
-        ok, reason = partition_is_rigid(D, P)
+    for P, _ in partitions:
+        ok, reason = partition_is_rigid(partitions.digraph, P)
         if not ok:
             return CharacterizationResult(FAILS, reason, P)
     return CharacterizationResult(HOLDS)

@@ -49,6 +49,25 @@ def strong_digraphs(draw, min_n=1, max_n=5, max_arcs=None):
     return make_digraph(n, sorted(base | set(extra)))
 
 
+@st.composite
+def two_block_digraphs(draw, min_n=4, max_n=7):
+    """Strong digraphs with a strong in-domatic partition into two blocks,
+    so of value at least two: a cycle through each block, an arc from
+    every vertex into the other block, and arbitrary extra arcs."""
+    n = draw(st.integers(min_n, max_n))
+    order = draw(st.permutations(range(n)))
+    split = draw(st.integers(2, n - 2))
+    blocks = (order[:split], order[split:])
+    arcs = set()
+    for mine, other in (blocks, blocks[::-1]):
+        arcs |= {(x, mine[(i + 1) % len(mine)]) for i, x in enumerate(mine)}
+        arcs |= {(x, draw(st.sampled_from(other))) for x in mine}
+    spare = [p for p in all_pairs(n) if p not in arcs]
+    if spare:
+        arcs |= set(draw(st.lists(st.sampled_from(spare), unique=True)))
+    return make_digraph(n, sorted(arcs))
+
+
 def solve_counts(run) -> Counter:
     """Run ``run()`` with every module binding of strong_in_domatic_number
     replaced by a counting wrapper; return the solves per (order, arcs)."""

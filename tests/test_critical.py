@@ -26,7 +26,7 @@ from indomatic import (
     stays_strong_without,
     strong_in_domatic_number,
 )
-from indomatic import critical, solver
+from indomatic import _search, critical, solver
 from indomatic.cli import main
 from indomatic.critical import (
     FAILS,
@@ -38,9 +38,9 @@ from indomatic.critical import (
     first_failure,
 )
 from indomatic.fileio import write_digraph
-from indomatic.solver import _all_set_partitions, search_cap
+from indomatic.solver import _all_set_partitions
 
-from .conftest import solve_counts, strong_digraphs
+from .conftest import solve_counts, strong_digraphs, two_block_digraphs
 
 # A digraph meeting the characterization's hypotheses (value two, every
 # deletion keeps it strong) that is not critical.
@@ -107,6 +107,24 @@ def profile_by_resolves(D):
     return DeletionProfile(strong_in_domatic_number(D).value, tuple(records))
 
 
+def own_needs(D):
+    """The needs ``partition_search`` gives the engine for D."""
+    return tuple(mask | 1 << x for x, mask in enumerate(D.out_masks))
+
+
+def search_log(monkeypatch):
+    """A list that every later engine search appends its needs and k to."""
+    log = []
+    engine = _search._search
+
+    def search(m, needs, k, viable, counter):
+        log.append((tuple(needs), k))
+        return engine(m, needs, k, viable, counter)
+
+    monkeypatch.setattr(_search, "_search", search)
+    return log
+
+
 class TestProfileFromWitness:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_resolves_on_every_labeled_digraph(self, n):
@@ -122,22 +140,21 @@ class TestProfileFromWitness:
             assert deletion_profile(D) == profile_by_resolves(D)
 
     def test_one_solve_and_no_search_where_the_witness_survives(self, monkeypatch):
+        # No digraph but D is searched: D's solve is one cap-first ladder,
+        # and the deletions the witness does not settle read D's maximum
+        # partitions from one enumeration at k = value.
         D = order_value_family(5, 2).digraph
-        W = strong_in_domatic_number(D).witness
-        solved, searched = [], []
+        result = strong_in_domatic_number(D)
+        W = result.witness
+        solved = []
         original_solve = critical.strong_in_domatic_number
-        original_search = critical.exists_partition_into_k
 
         def solve(G):
             solved.append(G)
             return original_solve(G)
 
-        def search(H, k):
-            searched.append((H, k))
-            return original_search(H, k)
-
         monkeypatch.setattr(critical, "strong_in_domatic_number", solve)
-        monkeypatch.setattr(critical, "exists_partition_into_k", search)
+        searches = search_log(monkeypatch)
         profile = deletion_profile(D)
         assert solved == [D]
         assert sum(r.value_after == 2 for r in profile.records) == 6
@@ -147,9 +164,17 @@ class TestProfileFromWitness:
             if is_strong_in_domatic_partition(delete_arc(D, r.arc), W)
         ]
         assert survivors == [(1, 2), (1, 3)]
-        assert searched
-        assert not any(is_strong_in_domatic_partition(H, W) for H, _ in searched)
-        assert all(k <= search_cap(H) for H, k in searched)
+        assert {needs for needs, _ in searches} == {own_needs(D)}
+        ladder = [k for k, _, _ in result.stats.probes]
+        assert [k for _, k in searches] == ladder + [profile.value]
+
+    @settings(max_examples=25, deadline=None)
+    @given(two_block_digraphs(min_n=5, max_n=7))
+    def test_matches_resolves_past_the_witness(self, D):
+        # With value two or more a deletion can need the partitions after
+        # the witness.
+        assert strong_in_domatic_number(D).value >= 2
+        assert deletion_profile(D) == profile_by_resolves(D)
 
     def test_cap_below_the_merge_bound_raises(self, monkeypatch):
         # K4* minus an arc keeps a merged witness of three blocks.
@@ -165,15 +190,25 @@ class TestProfileFromWitness:
             deletion_profile(complete_digraph(3))
 
     def test_invalid_search_result_raises(self, monkeypatch):
-        # order_value_family(5, 2) has deletions whose value needs a search.
-        # D's own solve is fixed first; then every search yields the planted
-        # labels, a well-formed partition into the k = 2 blocks {0} and
-        # {1, 2, 3, 4} that is not strong in-domatic after the deletion.
+        # order_value_family(5, 2) has deletions that its witness does not
+        # settle.  D's own solve is fixed first; then the enumeration of D
+        # yields the witness and the planted labels, a well-formed
+        # partition into the k = 2 blocks {0} and {1, 2, 3, 4} that is not
+        # strong in-domatic after the deletion.
+        D = order_value_family(5, 2).digraph
+        solved = strong_in_domatic_number(D)
+        planted = [solved.witness.block_of, (0, 1, 1, 1, 1)]
+        monkeypatch.setattr(critical, "strong_in_domatic_number", lambda G: solved)
+        monkeypatch.setattr(solver, "partition_search", lambda *args: iter(planted))
+        with pytest.raises(WitnessCheckError, match="fails the check"):
+            deletion_profile(D)
+
+    def test_enumeration_not_starting_at_the_witness_raises(self, monkeypatch):
         D = order_value_family(5, 2).digraph
         solved = strong_in_domatic_number(D)
         monkeypatch.setattr(critical, "strong_in_domatic_number", lambda G: solved)
         monkeypatch.setattr(solver, "partition_search", lambda *args: iter([(0, 1, 1, 1, 1)]))
-        with pytest.raises(WitnessCheckError):
+        with pytest.raises(WitnessCheckError, match="does not start at the witness"):
             deletion_profile(D)
 
 
@@ -317,6 +352,37 @@ class TestOneSolveOfD:
     @given(strong_digraphs(min_n=2, max_n=5))
     def test_profile_inputs_give_the_same_verdict(self, D):
         profile = deletion_profile(D)
-        assert characterize(D, profile.value, profile.breaking_arc) == (
+        assert characterize(profile.partitions, profile.breaking_arc) == (
             characterization_holds(D)
         )
+
+
+class TestOneEnumerationOfD:
+    @pytest.mark.parametrize(
+        "D",
+        [
+            order_value_family(10, 3).digraph,
+            random_strong_digraph(8, random.Random(8), 0.5),
+        ],
+        ids=["order-value-10-3", "random-8"],
+    )
+    def test_cli_critical_searches_only_d(self, D, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "d.dg"
+        path.write_text(write_digraph(D))
+        ladder = [k for k, _, _ in strong_in_domatic_number(D).stats.probes]
+        value = strong_in_domatic_number(D).value
+        enumerations = []
+        enumerate_partitions = critical.strong_in_domatic_partitions
+
+        def counting(G, k):
+            enumerations.append((G, k))
+            return enumerate_partitions(G, k)
+
+        monkeypatch.setattr(critical, "strong_in_domatic_partitions", counting)
+        searches = search_log(monkeypatch)
+        code = main(["critical", "--in", str(path)])
+        assert code == 0
+        assert "characterization:" in capsys.readouterr().out
+        assert {needs for needs, _ in searches} == {own_needs(D)}
+        assert [k for _, k in searches] in (ladder, ladder + [value])
+        assert len(enumerations) <= 1

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import subprocess
@@ -543,6 +544,25 @@ class TestSearchWalk:
         assert memo
         search.close()
         assert memo == {}
+
+    def test_ended_search_leaves_nothing_to_the_cycle_collector(self):
+        # assign refers to itself through its closure; a search that ends,
+        # closed or exhausted, breaks that cycle, so its state goes at once.
+        D = complete_digraph(6)
+        strong = (D.out_masks, D.in_masks)
+        gc.collect()
+        gc.disable()
+        try:
+            search = partition_search(6, D.out_masks, 3, strong)
+            first = next(search)
+            search.close()
+            del search
+            closed = gc.collect()
+            exhausted = list(partition_search(6, D.out_masks, 2, strong))
+            assert (first is not None, closed, gc.collect()) == (True, 0, 0)
+            assert exhausted
+        finally:
+            gc.enable()
 
 
 def ascending_ladder(search, whole):
