@@ -254,33 +254,31 @@ def cmd_oracle(args) -> int:
     low = args.max_n + 1
     if args.random and low > args.up_to:
         raise Inapplicable("--up-to must exceed --max-n for random instances")
+
+    def mismatch(D: Digraph, kind: str, where: str = "") -> bool:
+        # The --what solver of ``kind`` against the oracle; a disagreement is printed.
+        if _INVARIANTS[kind][0](D).value == brute_force_oracle(D, kind):
+            return False
+        print(f"{kind} mismatch on {where}arcs={D.sorted_arcs()}")
+        return True
+
     scanned = strong = mismatches = lambda_checked = 0
     for D in families.all_labeled_digraphs(args.max_n):
         scanned += 1
         if not is_strong(D):
             continue
         strong += 1
-        if strong_in_domatic_number(D).value != brute_force_oracle(D, "dsminus"):
-            mismatches += 1
-            print(f"dsminus mismatch on arcs={D.sorted_arcs()}")
+        mismatches += mismatch(D, "dsminus")
         if 1 <= len(D.arcs) <= ORACLE_LAMBDA_ARCS:
             lambda_checked += 1
-            if lambda_number(D).value != brute_force_oracle(D, "lambda"):
-                mismatches += 1
-                print(f"lambda mismatch on arcs={D.sorted_arcs()}")
-    random_checked = 0
-    if args.random:
-        rng = Random(args.seed)
-        while random_checked < args.random:
-            order = rng.randint(low, args.up_to)
-            D = families.random_strong_digraph(order, rng)
-            random_checked += 1
-            if strong_in_domatic_number(D).value != brute_force_oracle(D, "dsminus"):
-                mismatches += 1
-                print(f"dsminus mismatch on n={order} arcs={D.sorted_arcs()}")
+            mismatches += mismatch(D, "lambda")
+    rng = Random(args.seed)
+    for _ in range(args.random):
+        D = families.random_strong_digraph(rng.randint(low, args.up_to), rng)
+        mismatches += mismatch(D, "dsminus", f"n={D.vertex_count} ")
     print(
         f"scanned={scanned} strong={strong} lambda_checked={lambda_checked} "
-        f"random={random_checked} mismatches={mismatches}"
+        f"random={args.random} mismatches={mismatches}"
     )
     return EXIT_OK if mismatches == 0 else EXIT_NEGATIVE
 
@@ -295,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact strong in-domatic invariants of digraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The --in digraph file of every subcommand that reads one.
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("--in", dest="infile", required=True)
 
-    p = sub.add_parser("compute", help="compute an invariant of a digraph file")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("compute", parents=[reads], help="compute an invariant of a digraph file")
     p.add_argument(
         "--what",
         required=True,
@@ -306,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", dest="witness_out")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("verify", help="verify a partition file against a digraph")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("verify", parents=[reads], help="verify a partition file against a digraph")
     p.add_argument("--partition", required=True)
     p.add_argument("--mode", choices=["in", "out"], default="in")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("transform", help="build a derived digraph")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("transform", parents=[reads], help="build a derived digraph")
     p.add_argument("--op", required=True, choices=list(_TRANSFORMS))
     p.add_argument("--with", dest="with_files", action="append")
     p.add_argument("--out", required=True)
@@ -326,12 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("critical", help="per-arc deletion profile and criticality")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser(
+        "critical", parents=[reads], help="per-arc deletion profile and criticality"
+    )
     p.set_defaults(func=cmd_critical)
 
-    p = sub.add_parser("laws", help="evaluate the full law suite")
-    p.add_argument("--in", dest="infile", required=True)
+    p = sub.add_parser("laws", parents=[reads], help="evaluate the full law suite")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_laws)
 

@@ -101,8 +101,16 @@ def _masks(n: int, pairs) -> tuple:
     return tuple(masks)
 
 
+def _bits(mask: int):
+    """The members of the bitmask ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _members(mask: int) -> frozenset:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    return frozenset(_bits(mask))
 
 
 def _reaches(root: int, masks: Sequence[int], allowed: int, block: int) -> bool:
@@ -266,12 +274,8 @@ def stays_strong_without(D: Digraph, arc: Arc) -> bool:
 
 def is_semicomplete(D: Digraph) -> bool:
     """Every vertex pair is joined by at least one arc."""
-    n = D.vertex_count
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in D.arcs and (v, u) not in D.arcs:
-                return False
-    return True
+    full = (1 << D.vertex_count) - 1
+    return all(D.out_masks[v] | D.in_masks[v] | 1 << v == full for v in range(D.vertex_count))
 
 
 def is_complete(D: Digraph) -> bool:

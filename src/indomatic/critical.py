@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Tuple
 
 from .core import (
     Digraph,
+    _bits,
     _bypassed,
     _require_strong,
     _strong_on,
@@ -222,16 +223,14 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
     Returns (ok, reason) for diagnostics.
     """
     masks = D.out_masks
-    arcs = D.sorted_arcs()
     for i, block in enumerate(_block_masks(D, P)):
         # A block that is not strong stays so under every deletion; in a
         # strong one each deletion is one closure, as in ``stays_strong_without``.
         if _strong_on(masks, D.in_masks, block, block):
-            for u, v in arcs:
-                if block >> u & 1 and block >> v & 1 and _bypassed(masks, block, u, v):
-                    return False, (
-                        f"block {i} stays strong after deleting internal arc {(u, v)}"
-                    )
+            internal = ((u, v) for u in _bits(block) for v in _bits(masks[u] & block))
+            for u, v in internal:
+                if _bypassed(masks, block, u, v):
+                    return False, f"block {i} stays strong after deleting internal arc {(u, v)}"
         for x in range(D.vertex_count):
             if block >> x & 1:
                 continue

@@ -76,45 +76,40 @@ def parse_partition(text: str, D: Digraph) -> VertexPartition:
     lines = _payload_lines(text)
     if not lines:
         raise ParseError("partition file has no blocks")
-    blocks = []
-    seen = {}
-    for number, line in lines:
-        members = []
+    block_of = [None] * D.vertex_count
+    for block, (number, line) in enumerate(lines):
         for field in line.split():
             try:
                 v = int(field)
             except ValueError:
                 raise ParseError(f"non-integer vertex id {field!r}", number)
             if not (0 <= v < D.vertex_count):
+                raise ParseError(f"vertex {v} outside [0,{D.vertex_count})", number)
+            if block_of[v] is not None:
                 raise ParseError(
-                    f"vertex {v} outside [0,{D.vertex_count})", number
+                    f"vertex {v} already in the block on line {lines[block_of[v]][0]}", number
                 )
-            if v in seen:
-                raise ParseError(
-                    f"vertex {v} already in the block on line {seen[v]}", number
-                )
-            seen[v] = number
-            members.append(v)
-        blocks.append(members)
-    missing = [v for v in range(D.vertex_count) if v not in seen]
+            block_of[v] = block
+    missing = [v for v, block in enumerate(block_of) if block is None]
     if missing:
         raise ParseError(f"vertices {missing} are in no block")
-    return VertexPartition.from_blocks(blocks)
+    # Every rule of a partition is checked above; no line is without a field.
+    return VertexPartition(tuple(block_of), len(lines))
+
+
+def _write_blocks(P, member) -> str:
+    """The canonical form of P, one block per line, members sorted."""
+    lines = [" ".join(member(x) for x in sorted(b)) for b in P.canonical().blocks()]
+    return "\n".join(lines) + "\n"
 
 
 def write_partition(P: VertexPartition) -> str:
-    canonical = P.canonical()
-    lines = [" ".join(str(v) for v in sorted(b)) for b in canonical.blocks()]
-    return "\n".join(lines) + "\n"
+    return _write_blocks(P, str)
 
 
 def write_arc_partition(Q: ArcPartition) -> str:
     """One block per line; each arc rendered as ``u,v``."""
-    canonical = Q.canonical()
-    lines = [
-        " ".join(f"{u},{v}" for u, v in sorted(b)) for b in canonical.blocks()
-    ]
-    return "\n".join(lines) + "\n"
+    return _write_blocks(Q, lambda arc: f"{arc[0]},{arc[1]}")
 
 
 def write_dot(D: Digraph, origins: Optional[tuple] = None) -> str:

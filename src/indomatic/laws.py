@@ -28,7 +28,7 @@ from .core import (
     min_out_degree,
     stays_strong_without,
 )
-from .critical import HOLDS, NOT_APPLICABLE
+from .critical import HOLDS, NOT_APPLICABLE, MaxPartitions
 from .domination import (
     VertexPartition,
     _block_masks,
@@ -44,7 +44,6 @@ from .solver import (
     lambda_number,
     search_cap,
     strong_in_domatic_number,
-    strong_in_domatic_partitions,
     strong_out_domatic_number,
 )
 from .transforms import cartesian_product, line_digraph, middle, root, subdivision, total
@@ -391,8 +390,8 @@ def check_all(
         bad = next(
             (
                 {"block": sorted(_members(block))}
-                for P in strong_in_domatic_partitions(D, value)
-                for block in _block_masks(D, P)
+                for _, blocks in MaxPartitions(D, witness)
+                for block in blocks
                 if not _is_symmetric_path(D, block)
             ),
             None,

@@ -12,7 +12,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .core import Digraph, Inapplicable, _reaches, _require_subset, is_complete, make_digraph
+from .core import (
+    Digraph, Inapplicable, _bits, _reaches, _require_subset, is_complete, make_digraph
+)
 from .domination import VertexPartition, is_in_dominating, is_strong_in_domatic_partition
 from .solver import SolveResult, _largest, _strong_in_domatic_search, search_cap
 
@@ -127,13 +129,6 @@ def is_planar(G: Digraph) -> bool:
     if m > 3 * n - 6:
         return False
     return all(_block_is_planar(G.out_masks, block) for block in _blocks(G.out_masks))
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _blocks(masks):

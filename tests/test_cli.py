@@ -1,11 +1,14 @@
 import json
+import re
 
 import pytest
 
 from indomatic import (
+    all_labeled_digraphs,
     are_isomorphic,
     complete_digraph,
     directed_cycle,
+    is_strong,
     make_digraph,
 )
 from indomatic import cli
@@ -587,6 +590,34 @@ class TestOracleCommand:
 
     def test_cap(self, capsys):
         assert run("oracle", "--max-n", "5") == 3
+
+    @staticmethod
+    def overstate(monkeypatch, kind):
+        # The oracle reads one more than the true value for ``kind``.
+        oracle = cli.brute_force_oracle
+        monkeypatch.setattr(
+            cli, "brute_force_oracle", lambda D, what: oracle(D, what) + (what == kind)
+        )
+
+    @pytest.mark.parametrize("kind", ["lambda", "dsminus"])
+    def test_mismatches_are_printed_and_counted(self, monkeypatch, capsys, kind):
+        strong = [D for D in all_labeled_digraphs(3) if is_strong(D)]
+        self.overstate(monkeypatch, kind)
+        assert run("oracle", "--max-n", "3") == 1
+        lines = capsys.readouterr().out.splitlines()
+        # Every strong digraph of order 3 has 3 to 6 arcs, so each gets a lambda check.
+        assert lines == [f"{kind} mismatch on arcs={D.sorted_arcs()}" for D in strong] + [
+            f"scanned=64 strong=18 lambda_checked=18 random=0 mismatches={len(strong)}"
+        ]
+
+    def test_random_mismatches_name_the_order(self, monkeypatch, capsys):
+        self.overstate(monkeypatch, "dsminus")
+        assert run("oracle", "--max-n", "3", "--random", "3", "--up-to", "5", "--seed", "9") == 1
+        lines = capsys.readouterr().out.splitlines()
+        randoms = [line for line in lines if line.startswith("dsminus mismatch on n=")]
+        assert len(randoms) == 3
+        assert all(re.fullmatch(r"dsminus mismatch on n=[45] arcs=\[\(.*\)\]", r) for r in randoms)
+        assert lines[-1] == "scanned=64 strong=18 lambda_checked=18 random=3 mismatches=21"
 
     def test_random_bounds_checked_before_the_scan(self, monkeypatch, capsys):
         def no_scan(n):

@@ -327,6 +327,41 @@ class TestShapePredicates:
         assert not is_symmetric_arc(c3, (0, 1))
 
 
+def semicomplete_by_pairs(D):
+    n = D.vertex_count
+    return all((u, v) in D.arcs or (v, u) in D.arcs for u in range(n) for v in range(u + 1, n))
+
+
+@st.composite
+def near_semicomplete(draw, max_n=7):
+    """One, the other or both arcs on every vertex pair, then up to two
+    arcs deleted: semicomplete digraphs and digraphs one pair short."""
+    n = draw(st.integers(0, max_n))
+    arcs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            arcs |= draw(st.sampled_from([{(u, v)}, {(v, u)}, {(u, v), (v, u)}]))
+    if arcs:
+        arcs -= set(draw(st.lists(st.sampled_from(sorted(arcs)), max_size=2)))
+    return make_digraph(n, arcs)
+
+
+class TestSemicomplete:
+    def test_every_labeled_digraph_to_order_4(self):
+        assert is_semicomplete(make_digraph(0, []))
+        for n in range(1, 5):
+            for D in all_labeled_digraphs(n):
+                assert is_semicomplete(D) == semicomplete_by_pairs(D)
+
+    @given(digraphs(max_n=7))
+    def test_drawn(self, D):
+        assert is_semicomplete(D) == semicomplete_by_pairs(D)
+
+    @given(near_semicomplete())
+    def test_drawn_near_semicomplete(self, D):
+        assert is_semicomplete(D) == semicomplete_by_pairs(D)
+
+
 class TestConverse:
     def test_cycle(self, c3):
         assert converse(c3).arcs == frozenset([(1, 0), (2, 1), (0, 2)])

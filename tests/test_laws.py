@@ -25,9 +25,9 @@ from indomatic import (
     upper_bound,
     vertex_connectivity,
 )
-from indomatic import laws
+from indomatic import critical, laws
 from indomatic.laws import HOLDS, NOT_APPLICABLE, VIOLATED
-from indomatic.solver import search_cap
+from indomatic.solver import WitnessCheckError, search_cap
 
 from .conftest import solve_counts, strong_digraphs
 
@@ -149,6 +149,16 @@ class TestCheckAll:
     def test_planar_three_law_runs(self, k3):
         report = check_all(k3)
         assert statuses(report)["L11"] == HOLDS
+
+    def test_l11_reads_the_maximum_partitions_from_the_witness(self, monkeypatch):
+        # L11 reads D's maximum partitions through critical.MaxPartitions,
+        # which checks that the enumeration starts at the report's witness.
+        def misordered(D, k):
+            yield VertexPartition((0, 2, 1), 3)
+
+        monkeypatch.setattr(critical, "strong_in_domatic_partitions", misordered)
+        with pytest.raises(WitnessCheckError, match="^the enumeration does not start at the witness$"):
+            check_all(complete_digraph(3))
 
     def test_fixed_law_order(self, k3):
         report = check_all(k3)
