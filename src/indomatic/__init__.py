@@ -69,7 +69,6 @@ from .solver import (
     strong_out_domatic_number,
 )
 from .transforms import (
-    CompositionSpec,
     TaggedVertex,
     cartesian_product,
     composition,

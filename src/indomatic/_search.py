@@ -22,6 +22,10 @@ The slack of need r is its unassigned members plus the open blocks meeting
 it (``hit[r]``), less k: every block not meeting r yet needs a distinct
 unassigned member.  Slack below zero cuts the node.  While fewer than k
 blocks are open, only the needs holding the item just placed are checked.
+Every item must lie in at least one need, as in both encodings (vertex x
+in its own, arc (u, v) in u's out-arcs): then that check, made as each
+item is placed, already cuts every branch left with fewer unassigned items
+than unopened blocks, so every leaf the walk reaches has all k open.
 Once all k are open, every need is, and the search propagates (forward
 checking, Haralick and Elliott, Artificial Intelligence 14(3), 1980): a
 tight need (slack zero) bars its unassigned members from the blocks that
@@ -187,12 +191,7 @@ def _search(
         # open.
         counter.nodes += 1
         if not rest:
-            if opened == k:
-                yield tuple(labels)
-            return
-        # Not enough unassigned items left to open the remaining blocks (no
-        # item is forced before all k are open, so m - i counts them).
-        if k - opened > m - i:
+            yield tuple(labels)
             return
         bit = 1 << i
         rest &= ~bit

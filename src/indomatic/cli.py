@@ -139,7 +139,7 @@ _TRANSFORMS = {
     "converse": (lambda D: (converse(D), None), 0, _NO_WITH),
     "product": (transforms.cartesian_product, 1, "product needs exactly one --with digraph"),
     "compose": (
-        lambda D, *parts: transforms.composition(transforms.CompositionSpec.of(D, parts)),
+        lambda D, *parts: transforms.composition(D, parts),
         None,
         "compose needs one --with digraph per host vertex ({need}), got {got}",
     ),

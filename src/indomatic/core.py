@@ -204,13 +204,13 @@ def in_neighbors(D: Digraph, v: int) -> frozenset:
 
 def min_out_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
-        raise ValueError("empty digraph has no minimum out-degree")
+        raise Inapplicable("empty digraph has no minimum out-degree")
     return min(mask.bit_count() for mask in D.out_masks)
 
 
 def min_in_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
-        raise ValueError("empty digraph has no minimum in-degree")
+        raise Inapplicable("empty digraph has no minimum in-degree")
     return min(mask.bit_count() for mask in D.in_masks)
 
 
@@ -247,7 +247,7 @@ def is_strong(D: Digraph) -> bool:
     subdigraphs behave correctly inside partition checks.
     """
     if not D.vertex_count:
-        raise ValueError("strong connectivity is undefined for the empty digraph")
+        raise Inapplicable("strong connectivity is undefined for the empty digraph")
     full = (1 << D.vertex_count) - 1
     return _strong_on(D.out_masks, D.in_masks, full, full)
 

@@ -119,14 +119,6 @@ class ArcPartition:
             out[b].append(arc)
         return tuple(frozenset(b) for b in out)
 
-    def canonical(self) -> "ArcPartition":
-        blocks = self.blocks()
-        order = sorted(range(self.block_count), key=lambda b: min(blocks[b]))
-        rename = {old: new for new, old in enumerate(order)}
-        return ArcPartition(
-            tuple((arc, rename[b]) for arc, b in self.block_of), self.block_count
-        )
-
 
 @dataclass(frozen=True)
 class PartitionDiagnosis:

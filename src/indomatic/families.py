@@ -8,7 +8,7 @@ from typing import Optional
 
 from .core import Digraph, Inapplicable, is_strong, make_digraph
 from .domination import VertexPartition
-from .transforms import CompositionSpec, composition, composition_partition
+from .transforms import composition, composition_partition
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,8 @@ def order_value_family(p: int, m: int) -> FamilyInstance:
     q, r = divmod(p, m)
     host = directed_cycle(q)
     parts = [empty_digraph(m) for _ in range(q - 1)] + [empty_digraph(m + r)]
-    spec = CompositionSpec.of(host, parts)
-    digraph, _ = composition(spec)
-    partition = composition_partition(spec)
+    digraph, _ = composition(host, parts)
+    partition = composition_partition(host, parts)
     # The r = 0, m >= 2 case coincides with the critical composition
     # family; otherwise no criticality claim is made.
     claimed_critical = True if (r == 0 and m >= 2) else None

@@ -98,8 +98,9 @@ def parse_partition(text: str, D: Digraph) -> VertexPartition:
 
 
 def _write_blocks(P, member) -> str:
-    """The canonical form of P, one block per line, members sorted."""
-    lines = [" ".join(member(x) for x in sorted(b)) for b in P.canonical().blocks()]
+    """The canonical form of P: one block per line, members sorted, blocks
+    in order of their least member."""
+    lines = [" ".join(member(x) for x in sorted(b)) for b in sorted(P.blocks(), key=min)]
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 from .core import (
     Digraph,
+    Inapplicable,
     NotStrongError,
     _bypassed,
     _members,
@@ -222,7 +223,7 @@ def check_all(
         entries.append(LawEntry(law_id, LAW_STATEMENTS[law_id], status, details))
 
     if D.vertex_count == 0:
-        raise ValueError("law checks need a nonempty digraph")
+        raise Inapplicable("law checks need a nonempty digraph")
     if subdigraph_samples < 0:
         raise ValueError(f"subdigraph_samples={subdigraph_samples} is negative")
 

@@ -212,7 +212,7 @@ def in_domatic_number(D: Digraph) -> SolveResult:
     strongness requirement; defined for every nonempty digraph."""
     n = D.vertex_count
     if n == 0:
-        raise ValueError("empty digraph")
+        raise Inapplicable("empty digraph")
     return _largest(
         D, lambda k, counter: partition_search(n, D.out_masks, k, None, counter),
         min_out_degree(D) + 1, n, VertexPartition,

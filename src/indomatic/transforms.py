@@ -2,10 +2,11 @@
 root, middle, total, converse) and the constructive partition lifts that
 carry strong in-domatic partitions onto them.
 
-Every construction returns the derived digraph together with its
-``origins``: ``origins[i]`` is where vertex i comes from (a product or
-composition pair, an arc of D, or a ``TaggedVertex``), so partitions can
-be pushed forward and pulled back without parsing anything.
+Every construction takes digraphs, checks its own domain, and returns
+the derived digraph together with its ``origins``: ``origins[i]`` is
+where vertex i comes from (a product or composition pair, an arc of D,
+or a ``TaggedVertex``), so partitions can be pushed forward and pulled
+back without parsing anything.
 """
 from __future__ import annotations
 
@@ -34,25 +35,6 @@ class TaggedVertex:
             raise ValueError(f"unknown vertex kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """Host digraph plus one part digraph per host vertex.  Output ids are
-    assigned part by part in host-vertex order, so parts are disjoint by
-    construction."""
-
-    host: Digraph
-    parts: tuple  # parts[v] is the digraph substituted for host vertex v
-
-    @classmethod
-    def of(cls, host: Digraph, parts) -> "CompositionSpec":
-        parts = tuple(parts)
-        if len(parts) != host.vertex_count:
-            raise ValueError("need exactly one part per host vertex")
-        if any(p.vertex_count == 0 for p in parts):
-            raise Inapplicable("every part needs at least one vertex")
-        return cls(host, parts)
-
-
 def cartesian_product(D: Digraph, H: Digraph):
     """Cartesian product: (x,z) -> (u,v) is an arc iff the pair moves along
     exactly one coordinate by an arc of that factor.
@@ -74,25 +56,37 @@ def cartesian_product(D: Digraph, H: Digraph):
     return make_digraph(len(origins), arcs), origins
 
 
-def composition(spec: CompositionSpec):
-    """Blow every host vertex up into its part and join all of part(v) to
-    all of part(u) for each host arc (v, u).
+def _check_parts(host: Digraph, parts) -> tuple:
+    """``parts`` as a tuple, one nonempty digraph per host vertex."""
+    parts = tuple(parts)
+    if len(parts) != host.vertex_count:
+        raise ValueError("need exactly one part per host vertex")
+    if any(p.vertex_count == 0 for p in parts):
+        raise Inapplicable("every part needs at least one vertex")
+    return parts
+
+
+def composition(host: Digraph, parts):
+    """Blow every host vertex v up into ``parts[v]`` and join all of
+    part(v) to all of part(u) for each host arc (v, u).
 
     Returns ``(C, origins)``; ``origins[i]`` is the pair (host_vertex,
-    part_vertex) of vertex i, part by part in host-vertex order.
+    part_vertex) of vertex i, part by part in host-vertex order, so parts
+    are disjoint by construction.
     """
+    parts = _check_parts(host, parts)
     offsets = []
     origins = []
-    for hv, part in enumerate(spec.parts):
+    for hv, part in enumerate(parts):
         offsets.append(len(origins))
         origins += [(hv, pv) for pv in range(part.vertex_count)]
     arcs = []
-    for hv, part in enumerate(spec.parts):
+    for hv, part in enumerate(parts):
         for (u, v) in part.arcs:
             arcs.append((offsets[hv] + u, offsets[hv] + v))
-    for (v, u) in spec.host.arcs:
-        for pv in range(spec.parts[v].vertex_count):
-            for pu in range(spec.parts[u].vertex_count):
+    for (v, u) in host.arcs:
+        for pv in range(parts[v].vertex_count):
+            for pu in range(parts[u].vertex_count):
                 arcs.append((offsets[v] + pv, offsets[u] + pu))
     return make_digraph(len(origins), arcs), tuple(origins)
 
@@ -198,16 +192,17 @@ def lift_product_partition(P: VertexPartition, D: Digraph, H: Digraph) -> Vertex
     return VertexPartition(tuple(block_of), P.block_count)
 
 
-def composition_partition(spec: CompositionSpec) -> VertexPartition:
+def composition_partition(host: Digraph, parts) -> VertexPartition:
     """The layered partition of a composition over a strong host: with
     n = the smallest part order, block k < n-1 takes the k-th vertex of
     every part and the last block takes everything left over.  Vertex ids
     follow ``composition``'s order, part by part in host-vertex order."""
-    if spec.host.vertex_count < 2:
+    parts = _check_parts(host, parts)
+    if host.vertex_count < 2:
         raise ValueError("host must be nontrivial")
-    _require_strong(spec.host, "host must be strong")
-    n = min(part.vertex_count for part in spec.parts)
-    block_of = tuple(min(pv, n - 1) for part in spec.parts for pv in range(part.vertex_count))
+    _require_strong(host, "host must be strong")
+    n = min(part.vertex_count for part in parts)
+    block_of = tuple(min(pv, n - 1) for part in parts for pv in range(part.vertex_count))
     return VertexPartition(block_of, n)
 
 

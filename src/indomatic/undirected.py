@@ -41,7 +41,7 @@ def _require_graph(G: Digraph) -> None:
 def is_connected(G: Digraph) -> bool:
     _require_graph(G)
     if G.vertex_count == 0:
-        raise ValueError("connectivity is undefined for the empty graph")
+        raise Inapplicable("connectivity is undefined for the empty graph")
     # On a symmetric digraph one closure decides strong connectivity.
     full = (1 << G.vertex_count) - 1
     return _reaches(1, G.out_masks, full, full)
@@ -106,7 +106,7 @@ def clique_domination_number(G: Digraph) -> Optional[int]:
     _require_graph(G)
     n = G.vertex_count
     if n == 0:
-        raise ValueError("empty graph")
+        raise Inapplicable("empty graph")
     for size in range(1, n + 1):
         for S in combinations(range(n), size):
             if is_clique(G, S) and is_in_dominating(G, S):

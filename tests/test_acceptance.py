@@ -32,7 +32,6 @@ from indomatic import (
     subdivision,
     total,
     cartesian_product,
-    CompositionSpec,
 )
 from indomatic.cli import main
 from indomatic.critical import NOT_APPLICABLE
@@ -191,9 +190,8 @@ def test_criterion_6_constructive_lifts():
     for trial in range(50):
         host = random_strong_digraph(rng.randint(2, 3), rng)
         parts = [empty_digraph(rng.randint(1, 3)) for _ in range(host.vertex_count)]
-        spec = CompositionSpec.of(host, parts)
-        P = composition_partition(spec)
-        C, _ = composition(spec)
+        P = composition_partition(host, parts)
+        C, _ = composition(host, parts)
         if not is_strong_in_domatic_partition(C, P):
             failures.append(f"composition trial {trial}")
 

@@ -136,6 +136,9 @@ class TestCompute:
         "of order two or more\n"
     )
     _TWO_COMPONENTS = "n 4\n0 1\n1 0\n2 3\n3 2\n"
+    # The order-0 digraph is well formed: an invariant undefined on it is
+    # inapplicable (exit 3), not an input error.
+    _EMPTY_NOT_STRONG = "not applicable: strong connectivity is undefined for the empty digraph\n"
 
     @pytest.mark.parametrize(
         "text,what,code,out,err",
@@ -149,13 +152,7 @@ class TestCompute:
             ),
             (None, "dsminus", 2, "", "input error: [Errno 2] No such file or directory: {path!r}\n"),
             ("n 3\n0 1\n1 2\n", "dsminus", 3, "", _NOT_STRONG),
-            (
-                "n 0\n",
-                "dsminus",
-                2,
-                "",
-                "input error: strong connectivity is undefined for the empty digraph\n",
-            ),
+            ("n 0\n", "dsminus", 3, "", _EMPTY_NOT_STRONG),
             ("n -1\n", "dsminus", 2, "", "input error: line 1: vertex_count must be nonnegative, got -1\n"),
             (
                 "n -1\n0 1\n",
@@ -168,7 +165,7 @@ class TestCompute:
             ("n 1\n", "lambda", 3, "", _NO_ARCS),
             ("n 3\n", "lambda", 3, "", _NO_ARCS),
             (_TWO_COMPONENTS, "lambda", 3, "", _NOT_STRONG),
-            ("n 0\n", "dc", 2, "", "input error: connectivity is undefined for the empty graph\n"),
+            ("n 0\n", "dc", 3, "", "not applicable: connectivity is undefined for the empty graph\n"),
             ("n 1\n", "dc", 0, "1\n0\n", ""),
             ("n 3\n", "dc", 3, "", _DC_DISCONNECTED),
             (_TWO_COMPONENTS, "dc", 3, "", _DC_DISCONNECTED),
@@ -176,10 +173,14 @@ class TestCompute:
             ("n 1\n", "kappa", 3, "", _KAPPA),
             ("n 3\n", "kappa", 3, "", _KAPPA),
             (_TWO_COMPONENTS, "kappa", 3, "", _KAPPA),
-            ("n 0\n", "gammacl", 2, "", "input error: empty graph\n"),
+            ("n 0\n", "gammacl", 3, "", "not applicable: empty graph\n"),
             ("n 1\n", "gammacl", 0, "1\n", ""),
             ("n 3\n", "gammacl", 0, "none\n", ""),
             (_TWO_COMPONENTS, "gammacl", 0, "none\n", ""),
+            ("n 0\n", "dsplus", 3, "", _EMPTY_NOT_STRONG),
+            ("n 0\n", "indomatic", 3, "", "not applicable: empty digraph\n"),
+            ("n x\n", "dsminus", 2, "", "input error: line 1: vertex count 'x' is not an integer\n"),
+            ("n 3\n0 1 2\n", "dsminus", 2, "", "input error: line 2: expected 'u v', got '0 1 2'\n"),
         ],
         ids=[
             "malformed", "missing", "not-strong", "empty", "negative", "negative-with-arc",
@@ -188,6 +189,7 @@ class TestCompute:
                 for what in ("lambda", "dc", "kappa", "gammacl")
                 for graph in ("empty", "single", "arcless", "two-components")
             ),
+            "dsplus-empty", "indomatic-empty", "non-integer-order", "three-field-arc",
         ],
     )
     def test_error_bytes(self, tmp_path, capsys, text, what, code, out, err):
@@ -236,6 +238,14 @@ class TestVerify:
         part = tmp / "p.part"
         part.write_text("0 1\n")
         assert run("verify", "--in", path, "--partition", str(part)) == 2
+
+    def test_non_integer_member(self, workdir, capsys):
+        tmp, save = workdir
+        path = save("c3.dg", directed_cycle(3))
+        part = tmp / "p.part"
+        part.write_text("0 a\n")
+        assert run("verify", "--in", path, "--partition", str(part)) == 2
+        assert capsys.readouterr().err == "input error: line 1: non-integer vertex id 'a'\n"
 
 
 class TestTransform:
@@ -455,6 +465,8 @@ class TestGenerate:
             ("pair-critical", ["n=2"], "not applicable: family needs n >= 3\n"),
             ("order-value", ["p=2", "m=1"], "not applicable: requires p >= 3\n"),
             ("critical-composition", ["p=1", "n=2"], "not applicable: requires p >= 2 and n >= 2\n"),
+            ("complete", ["n"], "input error: parameter 'n' is not key=value\n"),
+            ("complete", ["n=x"], "input error: parameter 'n=x' needs an integer value\n"),
         ],
     )
     def test_param_error_bytes(self, tmp_path, capsys, family, params, err):
@@ -551,8 +563,26 @@ class TestCriticalCommand:
         assert run("critical", "--in", path) == 0
         assert "critical: yes" in capsys.readouterr().out
 
+    def test_order_zero_is_inapplicable(self, tmp_path, capsys):
+        path = tmp_path / "in.dg"
+        path.write_text("n 0\n")
+        assert run("critical", "--in", str(path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "not applicable: strong connectivity is undefined for the empty digraph\n"
+        )
+
 
 class TestLawsCommand:
+    def test_order_zero_is_inapplicable(self, tmp_path, capsys):
+        path = tmp_path / "in.dg"
+        path.write_text("n 0\n")
+        assert run("laws", "--in", str(path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "not applicable: law checks need a nonempty digraph\n"
+
     def test_complete4(self, workdir, capsys):
         _, save = workdir
         path = save("k4.dg", complete_digraph(4))

@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from indomatic import (
-    CompositionSpec,
     FamilyInstance,
     Inapplicable,
     all_labeled_digraphs,
@@ -134,11 +133,9 @@ class TestCriticalCompositionFamily:
             for n in range(2, p // 2 + 1):
                 if p % n:
                     continue
-                spec = CompositionSpec.of(
-                    directed_cycle(p // n), [empty_digraph(n)] * (p // n)
-                )
+                host, parts = directed_cycle(p // n), [empty_digraph(n)] * (p // n)
                 expected = FamilyInstance(
-                    composition(spec)[0], composition_partition(spec), n, True
+                    composition(host, parts)[0], composition_partition(host, parts), n, True
                 )
                 assert critical_composition_family(p, n) == expected
                 assert order_value_family(p, n) == expected

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from indomatic import (
     NotStrongError,
+    PartitionDiagnosis,
     VertexPartition,
     all_labeled_digraphs,
     check_all,
@@ -159,6 +160,42 @@ class TestCheckAll:
         monkeypatch.setattr(critical, "strong_in_domatic_partitions", misordered)
         with pytest.raises(WitnessCheckError, match="^the enumeration does not start at the witness$"):
             check_all(complete_digraph(3))
+
+    @pytest.mark.parametrize(
+        "kind, planted, chosen",
+        [
+            # K3*'s witness is its singletons, block masks 0b001, 0b010, 0b100.
+            ("union", [0b011], (0, 1)),
+            ("merge", [0b001, 0b110], (1, 2)),
+        ],
+    )
+    def test_l2_names_the_failing_union_or_merge(self, monkeypatch, k3, kind, planted, chosen):
+        real = laws._diagnose
+
+        def diagnose(out_masks, in_masks, blocks):
+            if blocks == planted:
+                return PartitionDiagnosis(False, 0, "planted")
+            return real(out_masks, in_masks, blocks)
+
+        monkeypatch.setattr(laws, "_diagnose", diagnose)
+        report = check_all(k3)
+        assert statuses(report)["L2"] == VIOLATED
+        assert details(report, "L2") == {"blocks": 3, "failure": (kind, chosen)}
+
+    def test_symmetric_path_needs_every_arc_both_ways(self, k3, c3):
+        assert laws._is_symmetric_path(k3, 0b011)
+        assert not laws._is_symmetric_path(c3, 0b011)
+        assert not laws._is_symmetric_path(c3, 0b111)
+        # Out-degrees 1, 2, 1 inside, as on a path, and strong: only the
+        # one-way arcs 1 -> 2 and 2 -> 0 rule it out.
+        D = make_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 0)])
+        assert not laws._is_symmetric_path(D, 0b111)
+
+    def test_l11_names_the_failing_block(self, monkeypatch, k3):
+        monkeypatch.setattr(laws, "_is_symmetric_path", lambda D, block: block != 0b010)
+        report = check_all(k3)
+        assert statuses(report)["L11"] == VIOLATED
+        assert details(report, "L11")["failure"] == {"block": [1]}
 
     def test_fixed_law_order(self, k3):
         report = check_all(k3)

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indomatic import (
-    CompositionSpec,
+    Inapplicable,
     VertexPartition,
     are_isomorphic,
     arc_induced_subdigraph,
@@ -40,7 +40,7 @@ _CONSTRUCTIONS = {
     "induced_subdigraph": lambda c3, k2: induced_subdigraph(c3, [0, 2]),
     "arc_induced_subdigraph": lambda c3, k2: arc_induced_subdigraph(c3, [(1, 2)]),
     "cartesian_product": cartesian_product,
-    "composition": lambda c3, k2: composition(CompositionSpec.of(c3, [k2] * 3)),
+    "composition": lambda c3, k2: composition(c3, [k2] * 3),
     "line_digraph": lambda c3, k2: line_digraph(c3),
     "subdivision": lambda c3, k2: subdivision(c3),
     "root": lambda c3, k2: root(c3),
@@ -90,29 +90,39 @@ class TestCartesianProduct:
 
 class TestComposition:
     def test_cycle_of_empty_pairs(self, c3):
-        spec = CompositionSpec.of(c3, [empty_digraph(2)] * 3)
-        C, _ = composition(spec)
+        C, _ = composition(c3, [empty_digraph(2)] * 3)
         assert C.vertex_count == 6 and len(C.arcs) == 12
 
     def test_trivial_host(self):
         host = make_digraph(1, [])
         part = directed_cycle(4)
-        C, _ = composition(CompositionSpec.of(host, [part]))
+        C, _ = composition(host, [part])
         assert are_isomorphic(C, part)
 
     def test_representatives_induce_host(self, c3):
-        spec = CompositionSpec.of(c3, [empty_digraph(2), empty_digraph(3), empty_digraph(2)])
-        C, origins = composition(spec)
+        C, origins = composition(c3, [empty_digraph(2), empty_digraph(3), empty_digraph(2)])
         reps = [origins.index((hv, 0)) for hv in range(3)]
         sub, _ = induced_subdigraph(C, reps)
         assert are_isomorphic(sub, c3)
 
     def test_part_arcs_survive(self, c3):
-        spec = CompositionSpec.of(c3, [directed_cycle(3), empty_digraph(1), empty_digraph(1)])
-        C, origins = composition(spec)
+        C, origins = composition(c3, [directed_cycle(3), empty_digraph(1), empty_digraph(1)])
         part_ids = [origins.index((0, pv)) for pv in range(3)]
         sub, _ = induced_subdigraph(C, part_ids)
         assert are_isomorphic(sub, directed_cycle(3))
+
+    # Both take the host and its parts directly and check the parts
+    # themselves, whoever calls them.
+    @pytest.mark.parametrize("build", [composition, composition_partition])
+    @pytest.mark.parametrize("count", [2, 4, 5])
+    def test_one_part_per_host_vertex(self, c3, k2, build, count):
+        with pytest.raises(ValueError, match=r"^need exactly one part per host vertex$"):
+            build(c3, [k2] * count)
+
+    @pytest.mark.parametrize("build", [composition, composition_partition])
+    def test_order_zero_part_is_inapplicable(self, c3, k2, build):
+        with pytest.raises(Inapplicable, match=r"^every part needs at least one vertex$"):
+            build(c3, [k2, make_digraph(0, []), k2])
 
 
 class TestLineDigraph:
@@ -245,9 +255,9 @@ class TestLifts:
             lift_product_partition(bad, c4, k2)
 
     def test_composition_partition_cycle(self, c3):
-        spec = CompositionSpec.of(c3, [empty_digraph(2)] * 3)
-        P = composition_partition(spec)
-        C, _ = composition(spec)
+        parts = [empty_digraph(2)] * 3
+        P = composition_partition(c3, parts)
+        C, _ = composition(c3, parts)
         assert P.block_count == 2
         assert is_strong_in_domatic_partition(C, P)
         for block in P.blocks():
@@ -255,9 +265,9 @@ class TestLifts:
             assert is_strong(sub)
 
     def test_composition_partition_uneven(self, k2):
-        spec = CompositionSpec.of(k2, [empty_digraph(3), empty_digraph(4)])
-        P = composition_partition(spec)
-        C, _ = composition(spec)
+        parts = [empty_digraph(3), empty_digraph(4)]
+        P = composition_partition(k2, parts)
+        C, _ = composition(k2, parts)
         assert P.block_count == 3
         assert is_strong_in_domatic_partition(C, P)
 
@@ -266,18 +276,14 @@ class TestLifts:
     def test_composition_partition_matches_composition_ids(self, data):
         host = data.draw(strong_digraphs(min_n=2, max_n=4))
         parts = [data.draw(digraphs(min_n=1, max_n=4)) for _ in range(host.vertex_count)]
-        spec = CompositionSpec.of(host, parts)
         # Reference: read each vertex's id from the built composition.
-        _, origins = composition(spec)
+        _, origins = composition(host, parts)
         n = min(part.vertex_count for part in parts)
         block_of = tuple(min(pv, n - 1) for _, pv in origins)
-        assert composition_partition(spec) == VertexPartition(block_of, n)
+        assert composition_partition(host, parts) == VertexPartition(block_of, n)
 
     def test_composition_partition_min_one(self, c3):
-        spec = CompositionSpec.of(
-            c3, [empty_digraph(1), empty_digraph(2), empty_digraph(5)]
-        )
-        P = composition_partition(spec)
+        P = composition_partition(c3, [empty_digraph(1), empty_digraph(2), empty_digraph(5)])
         assert P.block_count == 1
 
     def test_middle_lift_cycle(self, c3):
