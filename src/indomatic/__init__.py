@@ -1,25 +1,21 @@
 """Exact computation of strong in-domatic partitions of digraphs and the
 invariants, constructions and laws built on them."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Digraph,
     Inapplicable,
     NotStrongError,
-    are_isomorphic,
-    arc_induced_subdigraph,
     converse,
     delete_arc,
-    in_neighbors,
-    induced_subdigraph,
     is_complete,
     is_semicomplete,
     is_strong,
     is_strong_subset,
-    is_symmetric_arc,
     make_digraph,
     min_in_degree,
     min_out_degree,
-    out_neighbors,
     stays_strong_without,
 )
 from .critical import (
@@ -60,7 +56,6 @@ from .solver import (
     SolveResult,
     WitnessCheckError,
     brute_force_oracle,
-    enumerate_max_partitions,
     exists_partition_into_k,
     in_domatic_number,
     lambda_number,
@@ -92,4 +87,8 @@ from .undirected import (
     vertex_connectivity,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every name imported above; the submodules stay reachable as attributes.
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

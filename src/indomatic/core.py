@@ -190,18 +190,6 @@ def _require_subset(D, S) -> int:
     return members
 
 
-def out_neighbors(D: Digraph, v: int) -> frozenset:
-    """All z with (v, z) an arc."""
-    _check_vertex(D, v)
-    return _members(D.out_masks[v])
-
-
-def in_neighbors(D: Digraph, v: int) -> frozenset:
-    """All z with (z, v) an arc."""
-    _check_vertex(D, v)
-    return _members(D.in_masks[v])
-
-
 def min_out_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
         raise Inapplicable("empty digraph has no minimum out-degree")
@@ -212,32 +200,6 @@ def min_in_degree(D: Digraph) -> int:
     if D.vertex_count == 0:
         raise Inapplicable("empty digraph has no minimum in-degree")
     return min(mask.bit_count() for mask in D.in_masks)
-
-
-def induced_subdigraph(D: Digraph, S) -> tuple:
-    """Subdigraph induced by the vertex set ``S``.
-
-    Returns ``(H, mapping)`` where ``mapping[i]`` is the original id of the
-    new vertex ``i``; vertices are re-indexed so ``H`` keeps dense ids.
-    """
-    members = sorted(_members(_require_subset(D, S)))
-    index = {old: new for new, old in enumerate(members)}
-    arcs = [(index[u], index[v]) for u, v in D.arcs if u in index and v in index]
-    return make_digraph(len(members), arcs), tuple(members)
-
-
-def arc_induced_subdigraph(D: Digraph, E) -> tuple:
-    """Subdigraph induced by the arc set ``E``: its vertices are exactly the
-    end-vertices of arcs in ``E`` and its arcs are exactly ``E``.
-
-    Returns ``(H, mapping)`` with the same re-indexing convention as
-    :func:`induced_subdigraph`.
-    """
-    arcs = _require_arcs(D, E)
-    members = sorted({u for u, _ in arcs} | {v for _, v in arcs})
-    index = {old: new for new, old in enumerate(members)}
-    new_arcs = [(index[u], index[v]) for u, v in arcs]
-    return make_digraph(len(members), new_arcs), tuple(members)
 
 
 def is_strong(D: Digraph) -> bool:
@@ -283,12 +245,6 @@ def is_complete(D: Digraph) -> bool:
     return len(D.arcs) == D.vertex_count * (D.vertex_count - 1)
 
 
-def is_symmetric_arc(D: Digraph, arc: Arc) -> bool:
-    """True iff the reverse of ``arc`` is also an arc."""
-    u, v = _require_arc(D, arc)
-    return (v, u) in D.arcs
-
-
 def converse(D: Digraph) -> Digraph:
     """Reverse every arc."""
     return make_digraph(D.vertex_count, [(v, u) for u, v in D.arcs])
@@ -297,17 +253,3 @@ def converse(D: Digraph) -> Digraph:
 def delete_arc(D: Digraph, arc: Arc) -> Digraph:
     """Copy of ``D`` without the given arc."""
     return Digraph(D.vertex_count, D.arcs - {_require_arc(D, arc)})
-
-
-def are_isomorphic(D: Digraph, H: Digraph) -> bool:
-    """Decide isomorphism with networkx's VF2 matcher."""
-    # Imported here, so that `import indomatic` stays free of networkx.
-    import networkx as nx
-
-    def to_networkx(G: Digraph):
-        N = nx.DiGraph()
-        N.add_nodes_from(range(G.vertex_count))
-        N.add_edges_from(G.arcs)
-        return N
-
-    return nx.is_isomorphic(to_networkx(D), to_networkx(H))

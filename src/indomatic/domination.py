@@ -78,13 +78,6 @@ class VertexPartition:
             out[b].append(v)
         return tuple(frozenset(b) for b in out)
 
-    def canonical(self) -> "VertexPartition":
-        """Relabel blocks in increasing order of their minimum member."""
-        blocks = self.blocks()
-        order = sorted(range(self.block_count), key=lambda b: min(blocks[b]))
-        rename = {old: new for new, old in enumerate(order)}
-        return VertexPartition(tuple(rename[b] for b in self.block_of), self.block_count)
-
 
 @dataclass(frozen=True)
 class ArcPartition:

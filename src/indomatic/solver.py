@@ -220,12 +220,6 @@ def in_domatic_number(D: Digraph) -> SolveResult:
     )
 
 
-def enumerate_max_partitions(D: Digraph) -> List[VertexPartition]:
-    """All strong in-domatic partitions with the maximum block count, each
-    reported once with blocks ordered by minimum member."""
-    return list(strong_in_domatic_partitions(D, strong_in_domatic_number(D).value))
-
-
 # ---------------------------------------------------------------------------
 # Arc partitions into strong covers
 

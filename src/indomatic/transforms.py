@@ -199,7 +199,7 @@ def composition_partition(host: Digraph, parts) -> VertexPartition:
     follow ``composition``'s order, part by part in host-vertex order."""
     parts = _check_parts(host, parts)
     if host.vertex_count < 2:
-        raise ValueError("host must be nontrivial")
+        raise Inapplicable("host must be nontrivial")
     _require_strong(host, "host must be strong")
     n = min(part.vertex_count for part in parts)
     block_of = tuple(min(pv, n - 1) for part in parts for pv in range(part.vertex_count))

@@ -1,8 +1,9 @@
-"""Shared strategies and small named graphs for the test suite."""
+"""Shared strategies, small named graphs and reference helpers for the test suite."""
 from __future__ import annotations
 
 from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import strategies as st
 
@@ -66,6 +67,28 @@ def two_block_digraphs(draw, min_n=4, max_n=7):
     if spare:
         arcs |= set(draw(st.lists(st.sampled_from(spare), unique=True)))
     return make_digraph(n, sorted(arcs))
+
+
+def isomorphic(D, H):
+    """Isomorphism by networkx's VF2 matcher: the suite's reference for
+    structural checks."""
+
+    def to_networkx(G):
+        N = nx.DiGraph()
+        N.add_nodes_from(range(G.vertex_count))
+        N.add_edges_from(G.arcs)
+        return N
+
+    return nx.is_isomorphic(to_networkx(D), to_networkx(H))
+
+
+def induced_copy(D, S):
+    """The subdigraph of D induced by the vertex set S, with its vertices
+    renumbered 0, 1, ... in increasing order of their ids in D."""
+    index = {old: new for new, old in enumerate(sorted(S))}
+    return make_digraph(
+        len(index), [(index[u], index[v]) for u, v in D.arcs if u in index and v in index]
+    )
 
 
 def solve_counts(run) -> Counter:

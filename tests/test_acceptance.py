@@ -37,6 +37,8 @@ from indomatic.cli import main
 from indomatic.critical import NOT_APPLICABLE
 from indomatic.fileio import parse_digraph, write_digraph
 
+from .conftest import isomorphic
+
 
 def report(number, name, ok, detail=""):
     verdict = "PASS" if ok else "FAIL"
@@ -284,9 +286,7 @@ def test_criterion_7_cli_contract(tmp_path, capsys):
     scenario("oracle scan order 3", 0, "oracle", "--max-n", "3")
 
     line_result = parse_digraph(out_file.read_text())
-    from indomatic import are_isomorphic
-
-    structure_ok = are_isomorphic(line_result, directed_cycle(3))
+    structure_ok = isomorphic(line_result, directed_cycle(3))
 
     bad = [s for s in scenarios if s[1] != s[2]]
     report(

@@ -5,7 +5,6 @@ import pytest
 
 from indomatic import (
     all_labeled_digraphs,
-    are_isomorphic,
     complete_digraph,
     directed_cycle,
     is_strong,
@@ -14,6 +13,8 @@ from indomatic import (
 from indomatic import cli
 from indomatic.cli import main
 from indomatic.fileio import parse_digraph, parse_partition, write_digraph
+
+from .conftest import isomorphic
 
 
 @pytest.fixture
@@ -255,7 +256,7 @@ class TestTransform:
         out = str(tmp_path / "out.dg")
         assert run("transform", "--in", path, "--op", "line", "--out", out) == 0
         result = parse_digraph(open(out).read())
-        assert are_isomorphic(result, directed_cycle(3))
+        assert isomorphic(result, directed_cycle(3))
 
     def test_subdivision_of_cycle(self, workdir, tmp_path):
         _, save = workdir
@@ -264,7 +265,7 @@ class TestTransform:
         dot = str(tmp_path / "out.dot")
         assert run("transform", "--in", path, "--op", "subdivision", "--out", out, "--dot", dot) == 0
         result = parse_digraph(open(out).read())
-        assert are_isomorphic(result, directed_cycle(6))
+        assert isomorphic(result, directed_cycle(6))
         assert 'label="a(0,1)"' in open(dot).read()
 
     def test_product(self, workdir, tmp_path):

@@ -106,7 +106,7 @@ class TestPartitionFiles:
     def test_round_trip(self, k4):
         P = VertexPartition.from_blocks([[0, 2], [1], [3]])
         text = write_partition(P)
-        assert parse_partition(text, k4).canonical() == P.canonical()
+        assert set(parse_partition(text, k4).blocks()) == set(P.blocks())
         assert write_partition(parse_partition(text, k4)) == text
 
     def test_canonical_block_order(self, k4):

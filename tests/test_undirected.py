@@ -302,13 +302,17 @@ class TestPlanarity:
 
     @staticmethod
     def networkx_loaded_after(code):
-        code = f"import sys, indomatic, indomatic.cli; {code}; print('networkx' in sys.modules)"
+        """Run ``code`` after importing the package and its CLI, in a fresh
+        interpreter where ``import networkx`` fails outright; True iff
+        something tried to import it."""
+        code = f"import sys\nsys.modules['networkx'] = None\nimport indomatic, indomatic.cli\n{code}"
         src = str(Path(indomatic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        return out.stdout.strip() == "True"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        if "import of networkx halted" in out.stderr:
+            return True
+        assert out.returncode == 0, out.stderr
+        return False
 
     def test_importing_the_package_leaves_networkx_unloaded(self):
         assert not self.networkx_loaded_after("pass")
@@ -326,6 +330,33 @@ class TestPlanarity:
             "D = indomatic.directed_cycle(6); "
             "indomatic.check_all(D, subdigraph_samples=5, seed=1); indomatic.upper_bound(D)"
         )
+        assert not self.networkx_loaded_after(code)
+
+    def test_every_subcommand_runs_without_networkx(self, tmp_path):
+        # Each subcommand through cli.main, with its documented exit code.
+        code = f"""
+import os
+from indomatic.cli import _INVARIANTS, _TRANSFORMS, main
+os.chdir({str(tmp_path)!r})
+
+def run(expected, *argv):
+    got = main(list(argv))
+    assert got == expected, (argv, got)
+
+run(0, "generate", "--family", "pair-critical", "--params", "n=3", "--out", "pc3.dg")
+run(0, "generate", "--family", "empty", "--params", "n=2", "--out", "e2.dg")
+for what in _INVARIANTS:
+    run(0, "compute", "--in", "pc3.dg", "--what", what)
+run(0, "compute", "--in", "pc3.dg", "--what", "dsminus", "--witness-out", "pc3.part")
+run(0, "verify", "--in", "pc3.dg", "--partition", "pc3.part")
+run(3, "compute", "--in", "e2.dg", "--what", "dsminus")
+extra = {{"product": ["--with", "pc3.dg"], "compose": ["--with", "e2.dg"] * 6}}
+for op in _TRANSFORMS:
+    run(0, "transform", "--in", "pc3.dg", "--op", op, *extra.get(op, []), "--out", op + ".dg")
+run(0, "critical", "--in", "pc3.dg")
+run(0, "laws", "--in", "pc3.dg")
+run(0, "oracle", "--max-n", "3")
+"""
         assert not self.networkx_loaded_after(code)
 
     @staticmethod
