@@ -7,14 +7,17 @@ strongness under any internal deletion, and every outside vertex has
 exactly one out-neighbor per block.  Both routes are implemented and their
 equivalence is itself part of the test suite.
 
-No digraph but D is searched.  A deletion profile solves D once and keeps
-D's maximum partitions (``MaxPartitions``): the canonical witness, then
-the rest of one enumeration of D, pulled only as far as a deletion needs.
-By monotonicity the partitions of D - e into d(D) blocks are exactly the
-maximum partitions of D that survive the deletion, so each deletion is
-settled by the first survivor in canonical order, or by a merge of two
-witness blocks when none survives.  The characterization reads the same
-partitions, so ``indomatic critical`` enumerates them at most once.
+No digraph but D is searched or built.  A deletion profile solves D once
+and keeps D's maximum partitions (``MaxPartitions``): the canonical
+witness, then the rest of one enumeration of D, pulled only as far as a
+deletion needs, each checked on D as it is pulled.  By monotonicity the
+partitions of D - e into d(D) blocks are exactly the maximum partitions
+of D that survive the deletion, so each deletion is settled by the first
+survivor in canonical order, or by a merge of two witness blocks when
+none survives.  D - e is never a ``Digraph``: it is D's own masks with
+one bit cleared in the tail's out-mask and one in the head's in-mask.
+The characterization reads the same partitions, so ``indomatic
+critical`` enumerates them at most once.
 """
 from __future__ import annotations
 
@@ -27,13 +30,12 @@ from .core import (
     _bypassed,
     _require_strong,
     _strong_on,
-    delete_arc,
     stays_strong_without,
 )
 from .domination import VertexPartition, _block_masks, _diagnose
 from .solver import (
     WitnessCheckError,
-    search_cap,
+    _degree_cap,
     strong_in_domatic_number,
     strong_in_domatic_partitions,
 )
@@ -55,7 +57,8 @@ class MaxPartitions:
     canonical order, iterated as (partition, block masks) pairs.  The
     canonical witness comes first; the rest are pulled from one
     enumeration of D, and only as far as they are asked for.  The
-    enumeration's first partition must be the witness, or
+    enumeration's first partition must be the witness, and each later one
+    must pass the predicate's block-mask check on D, or
     ``WitnessCheckError`` is raised."""
 
     def __init__(self, D: Digraph, witness: VertexPartition):
@@ -73,7 +76,11 @@ class MaxPartitions:
         P = next(self._rest, None)
         if P is None:
             return False
-        self._found.append((P, _block_masks(self.digraph, P)))
+        D = self.digraph
+        blocks = _block_masks(D, P)
+        if not _diagnose(D.out_masks, D.in_masks, blocks):
+            raise WitnessCheckError("an enumerated maximum partition fails the check on D")
+        self._found.append((P, blocks))
         return True
 
     def __iter__(self) -> Iterator[tuple]:
@@ -138,60 +145,78 @@ def deletion_profile(D: Digraph) -> DeletionProfile:
        deletion exists, and d - 1 otherwise.  That partition is the one
        ``exists_partition_into_k(H, d)`` would return.
 
-    Every partition that settles a value, the merge included, is
-    certified by the predicate's block-mask check on H.  A missing merge,
-    a cap below the merge's bound, a survivor that fails the check or an
+    H is never built: its masks are D's, with bit v cleared in u's
+    out-mask and bit u in v's in-mask (``_without``), strongness is
+    ``stays_strong_without`` on D's masks, and the cap is the one helper
+    behind ``search_cap``.  Every partition of D read past W passes the
+    predicate's block-mask check on D, and every partition that settles
+    a value, the merge included, passes it on H.  A missing merge, a cap
+    below the merge's bound, a partition that fails either check or an
     enumeration of D that does not start at W raises
     ``WitnessCheckError``.
     """
     _require_strong(D, "deletion profiles are defined for strong digraphs")
     partitions = MaxPartitions(D, strong_in_domatic_number(D).witness)
+    full = (1 << D.vertex_count) - 1
     records = []
-    for arc in D.sorted_arcs():
-        strong = stays_strong_without(D, arc)
-        after = _value_after(delete_arc(D, arc), partitions, *arc) if strong else None
-        records.append(ArcDeletionRecord(arc, strong, after))
+    for u, v in D.sorted_arcs():
+        # ``stays_strong_without``, on an arc known to be D's.
+        strong = _bypassed(D.out_masks, full, u, v)
+        after = _value_after(partitions, u, v) if strong else None
+        records.append(ArcDeletionRecord((u, v), strong, after))
     return DeletionProfile(partitions.value, tuple(records), partitions)
 
 
-def _survives(H: Digraph, blocks: list, u: int, v: int) -> bool:
-    """The strong in-domatic partition ``blocks`` (block masks) of H plus
-    the arc (u, v) is one of H as well.  Only v's block can fail: it must
-    still in-dominate u and, when it holds u, still be strong."""
+def _without(D: Digraph, u: int, v: int) -> tuple:
+    """The out-masks and in-masks of D minus its arc (u, v): D's own, with
+    bit v cleared in u's out-mask and bit u in v's in-mask."""
+    out_masks, in_masks = list(D.out_masks), list(D.in_masks)
+    out_masks[u] &= ~(1 << v)
+    in_masks[v] &= ~(1 << u)
+    return out_masks, in_masks
+
+
+def _survives(out_masks, blocks: list, u: int, v: int) -> bool:
+    """The strong in-domatic partition ``blocks`` (block masks) of D is
+    one of D - (u, v) as well, where ``out_masks`` are D - (u, v)'s.
+    Only v's block can fail: it must still in-dominate u and, when it
+    holds u, still be strong."""
     block = next(b for b in blocks if b >> v & 1)
     if block >> u & 1:
-        return _bypassed(H.out_masks, block, u, v)
-    return bool(H.out_masks[u] & block)
+        return _bypassed(out_masks, block, u, v)
+    return bool(out_masks[u] & block)
 
 
-def _value_after(H: Digraph, partitions: MaxPartitions, u: int, v: int) -> int:
-    """Strong in-domatic number of the strong digraph H, the deletion of
-    the arc (u, v) from the digraph with maximum partitions ``partitions``."""
+def _value_after(partitions: MaxPartitions, u: int, v: int) -> int:
+    """Strong in-domatic number of the strong digraph D - (u, v), where
+    D is the digraph with maximum partitions ``partitions``."""
+    out_masks, in_masks = _without(partitions.digraph, u, v)
     candidates = (blocks for _, blocks in partitions)
     witness = next(candidates)
     value = partitions.value
-    if _survives(H, witness, u, v):
-        return _certified(H, witness)
+    if _survives(out_masks, witness, u, v):
+        return _certified(out_masks, in_masks, witness)
     b = next(block for block in witness if block >> v & 1)
     merges = (
         [b | c] + [x for x in witness if x not in (b, c)] for c in witness if c != b
     )
-    if not any(_diagnose(H.out_masks, H.in_masks, blocks) for blocks in merges):
+    if not any(_diagnose(out_masks, in_masks, blocks) for blocks in merges):
         raise WitnessCheckError("no merge of two witness blocks survives the deletion")
-    cap = search_cap(H)
+    cap = _degree_cap(out_masks)
     if cap < value - 1:
         raise WitnessCheckError(f"search cap {cap} is below the merge bound {value - 1}")
     if cap >= value:
-        survivor = next((P for P in candidates if _survives(H, P, u, v)), None)
+        survivor = next((P for P in candidates if _survives(out_masks, P, u, v)), None)
         if survivor is not None:
-            return _certified(H, survivor)
+            return _certified(out_masks, in_masks, survivor)
     return value - 1
 
 
-def _certified(H: Digraph, blocks: list) -> int:
+def _certified(out_masks, in_masks, blocks: list) -> int:
     """The block count of ``blocks``, once they pass the predicate's check
-    as a strong in-domatic partition of H; ``WitnessCheckError`` otherwise."""
-    if not _diagnose(H.out_masks, H.in_masks, blocks):
+    as a strong in-domatic partition of the digraph with ``out_masks`` and
+    ``in_masks``; ``WitnessCheckError`` otherwise."""
+    if not _diagnose(out_masks, in_masks, blocks):
         raise WitnessCheckError("a surviving maximum partition fails the check on D - e")
     return len(blocks)
 

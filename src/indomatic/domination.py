@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from .core import (
     Digraph,
     _dominates,
+    _members,
     _require_arcs,
     _require_strong,
     _require_subset,
@@ -188,12 +189,18 @@ def is_in_domatic_partition(D: Digraph, P: VertexPartition) -> bool:
 
 
 def in_dominating_vertices(D: Digraph) -> frozenset:
-    """Vertices v whose singleton {v} is an in-dominating set: bit v is set
-    in ``out_masks[x] | 1 << x`` for every vertex x."""
-    common = (1 << D.vertex_count) - 1
-    for x, mask in enumerate(D.out_masks):
+    """Vertices v whose singleton {v} is an in-dominating set."""
+    return _members(_in_dominators(D.out_masks))
+
+
+def _in_dominators(out_masks) -> int:
+    """The mask of the vertices whose singleton in-dominates along
+    ``out_masks``: bit v is set in ``out_masks[x] | 1 << x`` for every
+    vertex x."""
+    common = (1 << len(out_masks)) - 1
+    for x, mask in enumerate(out_masks):
         common &= mask | 1 << x
-    return frozenset(v for v in range(D.vertex_count) if common >> v & 1)
+    return common
 
 
 def is_strong_cover(D: Digraph, E) -> bool:

@@ -37,7 +37,7 @@ from .core import (
 from .domination import (
     ArcPartition,
     VertexPartition,
-    in_dominating_vertices,
+    _in_dominators,
     is_in_domatic_partition,
     is_strong_cover_partition,
     is_strong_in_domatic_partition,
@@ -138,8 +138,13 @@ def search_cap(D: Digraph) -> int:
     """Admissible cap on the strong in-domatic number of a strong digraph,
     from the two degree bounds: minimum out-degree plus one, or the
     minimum out-degree when no vertex is in-dominating on its own."""
-    delta = min_out_degree(D)
-    return delta + 1 if in_dominating_vertices(D) else delta
+    return _degree_cap(D.out_masks)
+
+
+def _degree_cap(out_masks) -> int:
+    """``search_cap`` of the strong digraph with ``out_masks``."""
+    delta = min(mask.bit_count() for mask in out_masks)
+    return delta + 1 if _in_dominators(out_masks) else delta
 
 
 def _strong_in_domatic_search(

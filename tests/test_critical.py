@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from indomatic import (
+    Digraph,
     NotStrongError,
     PartitionDiagnosis,
     VertexPartition,
@@ -38,7 +39,7 @@ from indomatic.critical import (
     first_failure,
 )
 from indomatic.fileio import write_digraph
-from indomatic.solver import _all_set_partitions
+from indomatic.solver import _all_set_partitions, search_cap
 
 from .conftest import solve_counts, strong_digraphs, two_block_digraphs
 
@@ -178,9 +179,36 @@ class TestProfileFromWitness:
 
     def test_cap_below_the_merge_bound_raises(self, monkeypatch):
         # K4* minus an arc keeps a merged witness of three blocks.
-        monkeypatch.setattr(critical, "search_cap", lambda H: 1)
+        monkeypatch.setattr(critical, "_degree_cap", lambda out_masks: 1)
         with pytest.raises(WitnessCheckError):
             deletion_profile(complete_digraph(4))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cap_of_each_deletion_on_every_labeled_digraph(self, n):
+        for D in all_labeled_digraphs(n):
+            if is_strong(D):
+                assert_deletion_caps(D)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_cap_of_each_deletion_on_random_digraphs(self, n):
+        rng = random.Random(n)
+        for _ in range(12):
+            assert_deletion_caps(random_strong_digraph(n, rng, rng.choice([0.3, 0.5, 0.7])))
+
+    @pytest.mark.parametrize(
+        "D", [order_value_family(5, 2).digraph, complete_digraph(4)], ids=["ov-5-2", "K4"]
+    )
+    def test_no_digraph_is_built(self, D, monkeypatch):
+        built = []
+        init = Digraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Digraph, "__init__", counting)
+        deletion_profile(D)
+        assert built == []
 
     def test_missing_merge_raises(self, monkeypatch):
         # Every partition check on block masks fails, the merges included.
@@ -194,14 +222,26 @@ class TestProfileFromWitness:
         # settle.  D's own solve is fixed first; then the enumeration of D
         # yields the witness and the planted labels, a well-formed
         # partition into the k = 2 blocks {0} and {1, 2, 3, 4} that is not
-        # strong in-domatic after the deletion.
+        # strong in-domatic on D: {0} does not in-dominate 1.
         D = order_value_family(5, 2).digraph
-        solved = strong_in_domatic_number(D)
-        planted = [solved.witness.block_of, (0, 1, 1, 1, 1)]
-        monkeypatch.setattr(critical, "strong_in_domatic_number", lambda G: solved)
-        monkeypatch.setattr(solver, "partition_search", lambda *args: iter(planted))
-        with pytest.raises(WitnessCheckError, match="fails the check"):
+        plant_enumeration(monkeypatch, D, (0, 1, 1, 1, 1))
+        with pytest.raises(WitnessCheckError, match="enumerated maximum partition fails"):
             deletion_profile(D)
+
+    def test_invalid_search_result_raises_through_characterize(self, monkeypatch):
+        # pair_critical_family(3) meets the hypotheses and its witness is
+        # rigid, so the characterization reads the partitions after it.
+        D = pair_critical_family(3).digraph
+        plant_enumeration(monkeypatch, D, (0, 0, 0, 0, 1, 2))
+        with pytest.raises(WitnessCheckError, match="enumerated maximum partition fails"):
+            characterization_holds(D)
+
+    def test_surviving_partition_that_fails_on_d_minus_e_raises(self, monkeypatch):
+        # Every maximum partition is said to survive; K3*'s witness of
+        # singletons does not, so its check on D - e fails.
+        monkeypatch.setattr(critical, "_survives", lambda *args: True)
+        with pytest.raises(WitnessCheckError, match="fails the check on D - e"):
+            deletion_profile(complete_digraph(3))
 
     def test_enumeration_not_starting_at_the_witness_raises(self, monkeypatch):
         D = order_value_family(5, 2).digraph
@@ -210,6 +250,27 @@ class TestProfileFromWitness:
         monkeypatch.setattr(solver, "partition_search", lambda *args: iter([(0, 1, 1, 1, 1)]))
         with pytest.raises(WitnessCheckError, match="does not start at the witness"):
             deletion_profile(D)
+
+
+def assert_deletion_caps(D):
+    """The cap of each strong D - e from D's masks with the arc cleared
+    is ``search_cap`` of the built deletion."""
+    for arc in D.sorted_arcs():
+        if stays_strong_without(D, arc):
+            out_masks, _ = critical._without(D, *arc)
+            assert solver._degree_cap(out_masks) == search_cap(delete_arc(D, arc))
+
+
+def plant_enumeration(monkeypatch, D, labels):
+    """Fix D's solve, then make every enumeration yield D's witness and
+    the planted ``labels``, which must not be a strong in-domatic
+    partition of D."""
+    solved = strong_in_domatic_number(D)
+    k = solved.witness.block_count
+    assert not is_strong_in_domatic_partition(D, VertexPartition(labels, k))
+    planted = [solved.witness.block_of, labels]
+    monkeypatch.setattr(critical, "strong_in_domatic_number", lambda G: solved)
+    monkeypatch.setattr(solver, "partition_search", lambda *args: iter(planted))
 
 
 class TestLargeProfiles:
