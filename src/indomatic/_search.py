@@ -21,11 +21,15 @@ at most one above every earlier label), as ``VertexPartition.block_of``.
 The slack of need r is its unassigned members plus the open blocks meeting
 it (``hit[r]``), less k: every block not meeting r yet needs a distinct
 unassigned member.  Slack below zero cuts the node.  While fewer than k
-blocks are open, only the needs holding the item just placed are checked.
-Every item must lie in at least one need, as in both encodings (vertex x
-in its own, arc (u, v) in u's out-arcs): then that check, made as each
-item is placed, already cuts every branch left with fewer unassigned items
-than unopened blocks, so every leaf the walk reaches has all k open.
+blocks are open, only the needs holding the item i to be placed are
+checked, once per node, before any branch: counted without i, a need two
+or more blocks short of k cuts every branch, since placing i adds at most
+one block to it; one short by one bars i from the blocks already meeting
+it; any other leaves every block open to i.  Every item must lie in at
+least one need, as in both encodings (vertex x in its own, arc (u, v) in
+u's out-arcs): then that check, made for each item placed, already cuts
+every branch left with fewer unassigned items than unopened blocks, so
+every leaf the walk reaches has all k open.
 Once all k are open, every need is, and the search propagates (forward
 checking, Haralick and Elliott, Artificial Intelligence 14(3), 1980): a
 tight need (slack zero) bars its unassigned members from the blocks that
@@ -48,6 +52,17 @@ keeps every partition and the order they come in:
 5. So a barred placement is skipped untried.  Each strongness test below
    is a pure function of its two masks, so a search computes it once and
    then recalls it, keeping up to ``_MEMO_LIMIT`` answers.
+6. Deciding the blocks open to i once per node skips exactly the branches
+   that placing i and then counting would cut: placing i moves only the
+   slacks of the needs holding it, by the amounts counted above.  That
+   includes a branch opening the k-th block, which propagate would cut in
+   its first pass over the needs, before it forces an item.  A cut branch
+   counts no node, forced item, strong prune or closure, so none of these
+   counts, and no partition or its place in the order, changes.  Each
+   branch starts from the node's own blocks and block bits, copied once
+   and put back whole after it, whatever it placed and wherever it was
+   cut; a label is read only at a leaf, where the walk has just set every
+   item's label.
 
 Strongness is checked during the search: every open block j must pass
 ``viable(members[j], free)``, free being the unassigned items not barred
@@ -109,30 +124,14 @@ def _search(
     # memo[(block, free)]: what viable answered, so each test runs once.
     memo = {}
 
-    def unplace(items: int) -> None:
-        # Take the items placed by propagate out of their blocks again.
-        for b in range(k):
-            gone = items & members[b]
-            if not gone:
-                continue
-            block = members[b] = members[b] ^ gone
-            block_bit = 1 << b
-            while gone:
-                low = gone & -gone
-                for r in needs_of[low.bit_length() - 1]:
-                    if not block & needs[r]:
-                        hit[r] &= ~block_bit
-                gone ^= low
-
     def propagate(rest: int, banned: list, todo: Sequence[int]) -> Tuple[int, list]:
         # With all k blocks open: place every unassigned item that has one
         # block left, until none has.  banned[j] holds the items barred from
         # block j so far (bars only grow as items are placed, so the ones
         # found above this node still stand) and todo the needs whose slack
         # may have moved since.  Return the unassigned items left and the
-        # bars, or -1, with nothing placed, when some need can no longer be
-        # met or some item has no block left.
-        start = rest
+        # bars, or -1 when some need can no longer be met or some item has
+        # no block left.
         banned = banned[:]
         while True:
             grew = False
@@ -140,7 +139,6 @@ def _search(
                 supply = needs[r] & rest
                 slack = supply.bit_count() + hit[r].bit_count() - k
                 if slack < 0:
-                    unplace(start & ~rest)
                     return -1, banned
                 if slack or not supply:
                     continue
@@ -163,7 +161,6 @@ def _search(
                 one = (one & ~allowed) | (none & allowed)
                 none &= ~allowed
             if none:
-                unplace(start & ~rest)
                 return -1, banned
             if not one:
                 return rest, banned
@@ -196,31 +193,36 @@ def _search(
         bit = 1 << i
         rest &= ~bit
         mine = needs_of[i]
+        # barred: bits of the blocks i may not join while fewer than k are
+        # open, decided once for every branch (point 6); past that, banned
+        # bars a placement that would fail in propagate (point 5).
+        barred = 0
+        if opened < k:
+            for r in mine:
+                short = k - (needs[r] & rest).bit_count() - hit[r].bit_count()
+                if short > 0:
+                    if short > 1:
+                        return
+                    barred |= hit[r]
+        # Every branch starts from this node's blocks and block bits, put
+        # back whole after it, whatever it placed (point 6).
+        saved_members, saved_hit = members[:], hit[:]
         for b in range(min(opened + 1, k)):
-            # A barred placement would fail in propagate (point 5).
-            if banned[b] & bit:
+            if barred >> b & 1 or banned[b] & bit:
                 continue
-            # Placed and unplaced inline, not through unplace: this loop is
-            # the search's hot path.
             block_bit = 1 << b
             members[b] |= bit
             labels[i] = b
             for r in mine:
                 hit[r] |= block_bit
             now_opened = max(opened, b + 1)
+            left, bars = rest, banned
             if now_opened == k:
                 # Once all k blocks are open every slack is new to propagate;
                 # after that only those placing i moved.
                 todo = mine if opened == k else range(len(needs))
                 left, bars = propagate(rest, banned, todo)
-                ok = left >= 0
-            else:
-                left, bars = rest, banned
-                ok = True
-                for r in mine:
-                    if (needs[r] & rest).bit_count() + hit[r].bit_count() < k:
-                        ok = False
-                        break
+            ok = left >= 0
             if ok and viable is not None:
                 for j in range(now_opened):
                     key = (members[j], left & ~bars[j])
@@ -238,13 +240,8 @@ def _search(
                 # Items placed by force are skipped: the walk goes on at the
                 # least unassigned item.
                 yield from assign((left & -left).bit_length() - 1, now_opened, left, bars)
-            # Undo the forced placements; a cut propagation undid its own.
-            if 0 <= left != rest:
-                unplace(rest & ~left)
-            block = members[b] = members[b] & ~bit
-            for r in mine:
-                if not block & needs[r]:
-                    hit[r] &= ~block_bit
+            members[:] = saved_members
+            hit[:] = saved_hit
 
     try:
         yield from assign(0, 0, (1 << m) - 1, [0] * k)

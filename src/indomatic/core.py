@@ -246,8 +246,11 @@ def is_complete(D: Digraph) -> bool:
 
 
 def converse(D: Digraph) -> Digraph:
-    """Reverse every arc."""
-    return make_digraph(D.vertex_count, [(v, u) for u, v in D.arcs])
+    """Reverse every arc.  Reversal keeps a digraph loopless and simple, so
+    the converse is not validated again, and its masks are D's, swapped."""
+    C = Digraph(D.vertex_count, frozenset([(v, u) for u, v in D.arcs]))
+    vars(C).update(out_masks=D.in_masks, in_masks=D.out_masks)
+    return C
 
 
 def delete_arc(D: Digraph, arc: Arc) -> Digraph:

@@ -247,8 +247,13 @@ def partition_is_rigid(D: Digraph, P: VertexPartition):
 
     Returns (ok, reason) for diagnostics.
     """
+    return _blocks_are_rigid(D, _block_masks(D, P))
+
+
+def _blocks_are_rigid(D: Digraph, blocks: list):
+    """``partition_is_rigid`` for a partition given as its block masks."""
     masks = D.out_masks
-    for i, block in enumerate(_block_masks(D, P)):
+    for i, block in enumerate(blocks):
         # A block that is not strong stays so under every deletion; in a
         # strong one each deletion is one closure, as in ``stays_strong_without``.
         if _strong_on(masks, D.in_masks, block, block):
@@ -293,8 +298,8 @@ def characterize(
         return CharacterizationResult(
             NOT_APPLICABLE, f"deleting arc {breaking_arc} destroys strongness"
         )
-    for P, _ in partitions:
-        ok, reason = partition_is_rigid(partitions.digraph, P)
+    for P, blocks in partitions:
+        ok, reason = _blocks_are_rigid(partitions.digraph, blocks)
         if not ok:
             return CharacterizationResult(FAILS, reason, P)
     return CharacterizationResult(HOLDS)

@@ -375,6 +375,9 @@ class TestConverse:
             assert D.out_masks[v] == C.in_masks[v]
         if D.vertex_count:
             assert min_out_degree(D) == min_in_degree(C)
+        # C takes D's masks, swapped: they are the ones C's arcs give.
+        fresh = make_digraph(D.vertex_count, [(v, u) for u, v in D.arcs])
+        assert (C, C.out_masks, C.in_masks) == (fresh, fresh.out_masks, fresh.in_masks)
 
 
 class TestIsomorphism:

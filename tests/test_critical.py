@@ -357,6 +357,23 @@ class TestRigidityDiagnostics:
                 for P in partitions:
                     assert partition_is_rigid(D, P) == rigid_by_deletion_builds(D, P)
 
+    def test_characterize_builds_each_partitions_masks_once(self, monkeypatch):
+        # The rigidity check reads the block masks kept with each maximum
+        # partition; it builds none of its own.
+        D = critical_composition_family(6, 3).digraph
+        built = []
+        block_masks = critical._block_masks
+
+        def counting(G, P):
+            built.append(P)
+            return block_masks(G, P)
+
+        monkeypatch.setattr(critical, "_block_masks", counting)
+        partitions = critical.MaxPartitions(D, strong_in_domatic_number(D).witness)
+        assert characterize(partitions, None).status == HOLDS
+        read = [P for P, _ in partitions]
+        assert built == read and len(read) > 1
+
 
 def rigid_by_deletion_builds(D, P):
     """``partition_is_rigid`` with each internal deletion built as a new

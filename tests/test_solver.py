@@ -22,6 +22,7 @@ from indomatic import (
     all_labeled_digraphs,
     brute_force_oracle,
     complete_digraph,
+    critical_composition_family,
     exists_partition_into_k,
     in_domatic_number,
     is_strong,
@@ -30,6 +31,7 @@ from indomatic import (
     is_strong_out_domatic_partition,
     lambda_number,
     make_digraph,
+    order_value_family,
     pair_critical_family,
     random_strong_digraph,
     strong_in_domatic_number,
@@ -488,6 +490,17 @@ PINNED_WALKS = [
         (4, (0, 1, 0, 0, 0, 2, 2, 1, 2, 3, 3, 1), 1046, 324, 1812, ((4, 1046, True),)),
         id="dsminus-random-12",
     ),
+    # Members whose time goes to the nodes placed while blocks still open.
+    pytest.param(
+        strong_in_domatic_number, lambda: order_value_family(16, 6).digraph,
+        (6, (0, 1, 2, 3, 4, 5, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5), 51, 0, 136, ((6, 51, True),)),
+        id="dsminus-order-value-16-6",
+    ),
+    pytest.param(
+        strong_in_domatic_number, lambda: critical_composition_family(16, 8).digraph,
+        (8, (0, 1, 2, 3, 4, 5, 6, 7) * 2, 100, 0, 197, ((8, 100, True),)),
+        id="dsminus-critical-composition-16-8",
+    ),
 ]
 
 
@@ -537,6 +550,20 @@ class TestSearchWalk:
         assert len(runs) == sum(map(len, asked)) == result.stats.closures
         if solve is lambda_number:
             assert result.stats.closures < 900
+
+    def test_enumeration_pinned(self):
+        # Every strong in-domatic 6-partition of the (12, 6) critical
+        # composition, in order, and what the walk to them cost.
+        D = critical_composition_family(12, 6).digraph
+        counter = _search.SearchCounter()
+        found = list(partition_search(12, D.out_masks, 6, (D.out_masks, D.in_masks), counter))
+        assert (len(found), found[0], found[-1]) == (
+            720, (0, 1, 2, 3, 4, 5) * 2, (0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1, 0)
+        )
+        assert len(set(found)) == 720
+        assert (counter.nodes, counter.forced, counter.strong_prunes, counter.closures) == (
+            1278, 795, 0, 116
+        )
 
     def test_table_emptied_when_search_ends(self):
         # The table is the search's own: closing the search frees it at
